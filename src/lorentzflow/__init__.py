@@ -10,7 +10,6 @@ from .poly import (
     SubsetBasis,
     compositions,
     elementary_symmetric,
-    enumerate_subsets,
     hessian_quadratic,
     normalize_at_ones,
     subset_basis,
@@ -46,7 +45,6 @@ from .sep import (
 from .polarization import (
     PolarizationPlan,
     lifted_decomposition,
-    make_plan,
     polarize_up,
     polarized_flow,
     project_down,

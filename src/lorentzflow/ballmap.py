@@ -4,8 +4,11 @@ The backward flow leaves any of the certified spaces in finite time
 (unless started at the flow's fixed point), because the forward flow maps
 the whole space strictly into its interior. Bracketing and bisecting that
 exit against a membership oracle gives an escape time; the boundary
-anchor's direction in centered eigen-coordinates, scaled by exp(-exit
-time), is a candidate ball coordinate for the space.
+anchor's direction, scaled by exp(-exit time), is a candidate ball
+coordinate for the space. Directions are read in the Helmert frame of the
+centered coefficient vector, a fixed orthonormal basis of the sum-zero
+hyperplane, so they do not depend on which eigenvectors the eigensolver
+returned inside a repeated eigenvalue.
 """
 
 from __future__ import annotations
@@ -29,11 +32,10 @@ from .poly import HomPoly, MultiAffinePoly
 from .polarization import (
     PolarizationPlan,
     lifted_decomposition,
-    make_plan,
     polarize_up,
     project_down,
 )
-from .sep import SpectralDecomposition, centered_norm, eigen_coords, flow
+from .sep import SpectralDecomposition, centered_norm, flow
 
 # centered norms below this are treated as the flow's fixed point
 CENTER_EPS = 1e-10
@@ -84,8 +86,9 @@ def stable_oracle(
 @dataclass(frozen=True)
 class EscapeTimeResult:
     """Backward exit time, the polynomial at the crossing, and the derived
-    ball coordinate (norm exp(-sigma), direction from the anchor's
-    centered eigen-coordinates)."""
+    ball coordinate (norm exp(-sigma), direction from the Helmert
+    coordinates of the anchor's centered coefficients; for capped inputs,
+    of the lifted anchor's)."""
 
     sigma: float
     anchor: object
@@ -94,12 +97,21 @@ class EscapeTimeResult:
     bracket_width: float
 
 
+def _helmert(c: np.ndarray) -> np.ndarray:
+    """Helmert coordinates h_k = (c_0+...+c_{k-1} - k c_k)/sqrt(k(k+1)),
+    k = 1..N-1, of the centered vector: an isometry of the sum-zero
+    hyperplane onto R^(N-1)."""
+    c = c - c.mean()
+    k = np.arange(1, c.size)
+    return (np.cumsum(c)[:-1] - k * c[1:]) / np.sqrt(k * (k + 1.0))
+
+
 def _make_stepper(f, dec: SpectralDecomposition, plan: PolarizationPlan | None):
     """Return (flow_by, centered, dec) adapted to the polynomial type:
     capped polynomials move through the lift, multiaffine ones directly."""
     if isinstance(f, HomPoly):
         if plan is None:
-            plan = make_plan(f.n, f.d, f.kappa)
+            plan = PolarizationPlan(f.n, f.d, f.kappa)
         if dec is None:
             dec = lifted_decomposition(plan.lifted_n, plan.d)
 
@@ -162,7 +174,7 @@ def escape_time(
             hi = mid
     sigma = 0.5 * (lo + hi)
     anchor = flow_by(f, -sigma)
-    _, x = eigen_coords(centered(anchor), dec)
+    x = _helmert(centered(anchor).coeffs)
     nrm = float(np.linalg.norm(x))
     direction = x / nrm
     ball_point = math.exp(-sigma) * direction

@@ -27,7 +27,7 @@ from .certify import (
     certify_stable,
 )
 from .poly import HomPoly, MultiAffinePoly, compositions, normalize_at_ones, subset_basis
-from .polarization import make_plan, lifted_decomposition, polarize_up, project_down
+from .polarization import PolarizationPlan, polarize_up, project_down
 from .sep import (
     TranspositionRates,
     build_generator,
@@ -129,8 +129,7 @@ def _flow_rows_polarized(f, args):
         raise ValueError("--polarized flows use uniform rates on the lifted variables")
     if isinstance(f, MultiAffinePoly):
         f = f.to_hom()
-    plan = make_plan(f.n, f.d, f.kappa)
-    dec = lifted_decomposition(plan.lifted_n, plan.d)
+    plan = PolarizationPlan(f.n, f.d, f.kappa)
     oracle = (
         bm.stable_oracle(args.directions, args.seed, args.tol)
         if args.oracle == "stable"
@@ -197,7 +196,7 @@ def cmd_polarize(args) -> int:
         kappa = _parse_kappa(args.kappa)
         if sum(kappa) != f.n:
             raise ValueError(f"caps {kappa} sum to {sum(kappa)}, input has {f.n} variables")
-        out = project_down(f, make_plan(len(kappa), f.d, kappa))
+        out = project_down(f, PolarizationPlan(len(kappa), f.d, kappa))
     _emit(pio.dumps(pio.poly_to_obj(out)), args.output)
     return 0
 
@@ -207,13 +206,13 @@ def cmd_ballmap(args) -> int:
     if args.space == "multiaffine-lorentzian":
         if not isinstance(f, MultiAffinePoly):
             raise ValueError("this space expects a multiaffine input")
-        dec = spectral(build_generator(f.basis, uniform_rates(f.n)))
+        dec = uniform_decomposition(f.n, f.d)
         oracle = bm.multiaffine_lorentzian_oracle(args.tol)
         plan = None
     else:
         if isinstance(f, MultiAffinePoly):
             f = f.to_hom()
-        plan = make_plan(f.n, f.d, f.kappa)
+        plan = PolarizationPlan(f.n, f.d, f.kappa)
         dec = None
         if args.space == "stable":
             _announce_seed(args.seed)

@@ -62,17 +62,13 @@ class PolarizationPlan:
         return f"PolarizationPlan(n={self.n}, d={self.d}, kappa={self.kappa})"
 
 
-def make_plan(n: int, d: int, kappa) -> PolarizationPlan:
-    return PolarizationPlan(n, d, kappa)
-
-
 def polarize_up(f: HomPoly, plan: PolarizationPlan | None = None) -> MultiAffinePoly:
     """Lift a capped polynomial to the multiaffine polynomial that is
     symmetric within each block. Each term transports its coefficient,
     split evenly, to every lifted subset that picks the term's exponent
     from each block."""
     if plan is None:
-        plan = make_plan(f.n, f.d, f.kappa)
+        plan = PolarizationPlan(f.n, f.d, f.kappa)
     if plan.n != f.n or plan.d != f.d:
         raise ValueError(f"plan {plan!r} does not match polynomial {f!r}")
     basis = plan.lifted_basis
@@ -132,7 +128,7 @@ def polarized_flow(
     """Flow a capped polynomial: lift, run the multiaffine flow with
     uniform rates on the lifted variables, project back."""
     if plan is None:
-        plan = make_plan(f.n, f.d, f.kappa)
+        plan = PolarizationPlan(f.n, f.d, f.kappa)
     if dec is None:
         dec = lifted_decomposition(plan.lifted_n, plan.d)
     lifted = polarize_up(f, plan)

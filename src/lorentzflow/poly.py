@@ -88,10 +88,6 @@ def subset_basis(n: int, d: int) -> SubsetBasis:
     return SubsetBasis(n, d)
 
 
-def enumerate_subsets(n: int, d: int) -> SubsetBasis:
-    return subset_basis(n, d)
-
-
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr

@@ -89,16 +89,13 @@ def random_interior_member(
     rng,
     depth: float = 0.5,
     tol: float = 1e-9,
-    max_tries: int = 200,
 ) -> MultiAffinePoly:
-    """Strict-interior member: flow a certified member forward, which
-    moves it strictly inside, and keep it once the strict certificate
-    passes."""
-    for _ in range(max_tries):
-        cand = flow(random_member_mixture(basis, rng, tol=tol), depth, dec)
-        if certify_multiaffine(cand, tol).status is VerdictStatus.STRICT_INTERIOR:
-            return cand
-    raise RuntimeError(f"no strict member found in {max_tries} tries")
+    """Strict-interior member: flow a disjoint-group product forward by
+    ``depth``, which moves it strictly inside, and certify it once."""
+    cand = flow(random_disjoint_form_product(basis, rng), depth, dec)
+    if certify_multiaffine(cand, tol).status is not VerdictStatus.STRICT_INTERIOR:
+        raise RuntimeError(f"flowed member is not strict after depth {depth}")
+    return cand
 
 
 def zero_coefficient_boundary(

@@ -134,10 +134,11 @@ def build_generator(basis: SubsetBasis, rates: TranspositionRates) -> SepGenerat
 
 
 class SpectralDecomposition:
-    """Descending eigenvalues and a canonical orthonormal eigenbasis of a
-    generator. The top eigenvalue is pinned to 1 with the uniform vector;
-    degenerate eigenspaces get a reproducible basis (projections of the
-    coordinate vectors in basis order, orthonormalized, signs fixed)."""
+    """Descending eigenvalues and an orthonormal eigenbasis of a generator.
+    The top eigenvalue is pinned to 1 with the uniform vector. Inside a
+    repeated eigenvalue the eigenvectors are whatever the eigensolver
+    returns: the flow acts on each eigenspace as a whole, so nothing
+    downstream depends on that choice of basis."""
 
     __slots__ = ("basis", "eigenvalues", "vectors", "rates")
 
@@ -165,48 +166,16 @@ class SpectralDecomposition:
         return f"SpectralDecomposition(n={self.basis.n}, d={self.basis.d}, size={self.size})"
 
 
-def _sign_fix(v: np.ndarray) -> np.ndarray:
-    for x in v:
-        if abs(x) > 1e-10:
-            return v if x > 0 else -v
-    return v
-
-
-def _canonical_block(block: np.ndarray, ones_vec: np.ndarray) -> np.ndarray:
-    """Reproducible orthonormal basis of the column span of ``block``:
-    project coordinate vectors in index order, Gram-Schmidt, fix signs."""
-    size, mult = block.shape
-    out = []
-    for idx in range(size):
-        u = block @ block[idx, :]
-        u = u - ones_vec * (ones_vec @ u)
-        for v in out:
-            u = u - v * (v @ u)
-        nrm = np.linalg.norm(u)
-        if nrm > 1e-8:
-            u = u / nrm
-            # second orthogonalization pass for hygiene
-            u = u - ones_vec * (ones_vec @ u)
-            for v in out:
-                u = u - v * (v @ u)
-            u = u / np.linalg.norm(u)
-            out.append(u)
-            if len(out) == mult:
-                break
-    if len(out) < mult:
-        raise RuntimeError("failed to canonicalize a degenerate eigenspace")
-    return np.column_stack([_sign_fix(u) for u in out])
-
-
 def spectral(gen: SepGenerator) -> SpectralDecomposition:
     """Eigendecomposition of the generator with the invariants the flow
     relies on: a simple top eigenvalue at 1, everything else strictly
-    above -1, and reproducible eigenvectors."""
+    above -1, and orthonormal eigenvectors whose non-equilibrium modes
+    carry no mass."""
     L = gen.matrix
     size = L.shape[0]
-    w, V = np.linalg.eigh(L)
+    w, vectors = np.linalg.eigh(L)
     w = w[::-1].copy()
-    V = V[:, ::-1].copy()
+    vectors = vectors[:, ::-1].copy()
     if abs(w[0] - 1.0) > 1e-9:
         raise ValueError(f"top eigenvalue {w[0]} is not 1")
     if size > 1:
@@ -217,16 +186,10 @@ def spectral(gen: SepGenerator) -> SpectralDecomposition:
                 f"bottom eigenvalue {w[size - 1]} is not strictly above -1"
             )
     w[0] = 1.0
-    ones_vec = np.full(size, 1.0 / math.sqrt(size))
-    vectors = np.empty((size, size))
-    vectors[:, 0] = ones_vec
-    j = 1
-    while j < size:
-        k = j
-        while k + 1 < size and w[k] - w[k + 1] <= 1e-9:
-            k += 1
-        vectors[:, j : k + 1] = _canonical_block(V[:, j : k + 1], ones_vec)
-        j = k + 1
+    # the generator is doubly stochastic and its top eigenvalue is simple,
+    # so eigh's column 0 is the uniform vector up to sign and round-off;
+    # pin it exactly
+    vectors[:, 0] = 1.0 / math.sqrt(size)
     # invariant checks: reconstruction, orthonormality, zero mass of the
     # non-equilibrium modes
     recon = (vectors * w) @ vectors.T
@@ -292,7 +255,10 @@ def flow_matrix(s: float, dec: SpectralDecomposition) -> np.ndarray:
 def eigen_coords(f: MultiAffinePoly, dec: SpectralDecomposition):
     """Coordinates of ``f`` split into the mass coordinate (the value at
     the all-ones point, i.e. the coefficient on the normalized elementary
-    symmetric equilibrium) and the orthonormal non-equilibrium modes."""
+    symmetric equilibrium) and the coordinates on the decomposition's own
+    non-equilibrium eigenvectors. Inside a repeated eigenvalue those
+    eigenvectors are the eigensolver's choice, so only the per-eigenspace
+    norms of these coordinates are basis-independent."""
     _check_compatible(f, dec)
     x0 = float(f.coeffs.sum())
     x = dec.vectors[:, 1:].T @ f.coeffs
@@ -300,9 +266,11 @@ def eigen_coords(f: MultiAffinePoly, dec: SpectralDecomposition):
 
 
 def centered_norm(f: MultiAffinePoly, dec: SpectralDecomposition) -> float:
-    """Euclidean norm of the non-equilibrium coordinates."""
-    _, x = eigen_coords(f, dec)
-    return float(np.linalg.norm(x))
+    """Euclidean norm of the non-equilibrium coordinates, computed as the
+    distance of the coefficient vector from its mean (the same value in
+    any orthonormal eigenbasis)."""
+    _check_compatible(f, dec)
+    return float(np.linalg.norm(f.coeffs - f.coeffs.mean()))
 
 
 def equilibrium(dec: SpectralDecomposition) -> MultiAffinePoly:

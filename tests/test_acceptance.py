@@ -34,7 +34,7 @@ from lorentzflow.poly import (
     subset_basis,
 )
 from lorentzflow.polarization import (
-    make_plan,
+    PolarizationPlan,
     lifted_decomposition,
     polarize_up,
     project_down,
@@ -150,7 +150,7 @@ def test_criterion_04_flow_preserves_membership():
     for k in range(100):
         n, d = shapes[k % len(shapes)]
         f = random_form_product(n, d, rng)
-        plan = make_plan(f.n, f.d, f.kappa)
+        plan = PolarizationPlan(f.n, f.d, f.kappa)
         dec = lifted_decomposition(plan.lifted_n, plan.d)
         lifted = polarize_up(f, plan)
         for s in (0.1, 1.0, 10.0):
@@ -234,7 +234,7 @@ def test_criterion_07_polarization_round_trip_and_center():
         f = normalize_at_ones(
             HomPoly(n, d, kappa, dict(zip(alphas, np.abs(rng.standard_normal(len(alphas))) + 0.01)))
         )
-        plan = make_plan(n, d, kappa)
+        plan = PolarizationPlan(n, d, kappa)
         back = project_down(polarize_up(f, plan), plan)
         err = max(abs(back.coefficient(a) - f.coefficient(a)) for a in alphas)
         assert err <= 1e-12

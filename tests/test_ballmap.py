@@ -33,6 +33,8 @@ class TestEscapeTime:
         res = escape_time(f, oracle, dec)
         assert res.sigma == pytest.approx(math.log(4.0), abs=1e-6)
         assert np.allclose(res.anchor.coeffs, [1.0, 0.0, 0.0], atol=1e-6)
+        # Helmert frame of the centered anchor (2/3, -1/3, -1/3)
+        assert np.allclose(res.ball_point, [math.sqrt(3.0) / 8.0, 1.0 / 8.0], atol=1e-6)
         assert res.converged
         assert res.bracket_width <= 1e-8
 
@@ -52,6 +54,15 @@ class TestEscapeTime:
         res = escape_time(f, oracle, dec)
         back = flow(res.anchor, res.sigma, dec)
         assert np.allclose(back.coeffs, f.coeffs, atol=1e-8)
+
+    def test_ball_point_independent_of_eigenbasis(self, rotated_decomposition):
+        dec, rotated = rotated_decomposition
+        oracle = multiaffine_lorentzian_oracle()
+        f = random_member_mixture(dec.basis, np.random.default_rng(65))
+        a = escape_time(f, oracle, dec)
+        b = escape_time(f, oracle, rotated)
+        assert a.sigma == pytest.approx(b.sigma, abs=1e-9)
+        assert np.max(np.abs(a.ball_point - b.ball_point)) <= 1e-9
 
     def test_boundary_input_exits_immediately(self):
         dec = uniform_decomposition(3, 2)

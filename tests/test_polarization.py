@@ -15,8 +15,8 @@ from lorentzflow.poly import (
     subset_basis,
 )
 from lorentzflow.polarization import (
+    PolarizationPlan,
     lifted_decomposition,
-    make_plan,
     polarize_up,
     polarized_flow,
     project_down,
@@ -67,21 +67,21 @@ class TestPolarizeUp:
     def test_block_symmetric(self):
         rng = np.random.default_rng(42)
         f = _random_capped(rng, n=2, d=2)
-        plan = make_plan(f.n, f.d, f.kappa)
+        plan = PolarizationPlan(f.n, f.d, f.kappa)
         g = polarize_up(f, plan)
         sym = symmetrize_partition(g, [list(b) for b in plan.blocks])
         assert np.allclose(sym.coeffs, g.coeffs, atol=1e-14)
 
     def test_cap_violation_raises(self):
         f = HomPoly(2, 2, (2, 2), {(2, 0): 1.0})
-        plan = make_plan(2, 2, (1, 2))
+        plan = PolarizationPlan(2, 2, (1, 2))
         with pytest.raises(ValueError, match="exceeds caps"):
             polarize_up(f, plan)
 
 
 class TestProjectDown:
     def test_block_pair_collapses_to_square(self):
-        plan = make_plan(1, 2, (2,))
+        plan = PolarizationPlan(1, 2, (2,))
         g = MultiAffinePoly(subset_basis(2, 2), [1.0])
         f = project_down(g, plan)
         assert f.terms == {(2,): 1.0}
@@ -90,7 +90,7 @@ class TestProjectDown:
         rng = np.random.default_rng(43)
         for _ in range(100):
             f = _random_capped(rng)
-            plan = make_plan(f.n, f.d, f.kappa)
+            plan = PolarizationPlan(f.n, f.d, f.kappa)
             back = project_down(polarize_up(f, plan), plan)
             assert back.kappa == f.kappa
             for alpha in f.terms:
@@ -100,14 +100,14 @@ class TestProjectDown:
 
     def test_lift_after_project_symmetrizes(self):
         # a single lifted variable projects to the whole block average
-        plan = make_plan(1, 1, (2,))
+        plan = PolarizationPlan(1, 1, (2,))
         g = MultiAffinePoly(subset_basis(2, 1), [1.0, 0.0])
         f = project_down(g, plan)
         again = polarize_up(f, plan)
         assert np.allclose(again.coeffs, [0.5, 0.5])
 
     def test_basis_mismatch(self):
-        plan = make_plan(1, 2, (2,))
+        plan = PolarizationPlan(1, 2, (2,))
         with pytest.raises(ValueError):
             project_down(MultiAffinePoly(subset_basis(3, 2), [1, 0, 0]), plan)
 
@@ -186,7 +186,7 @@ class TestPolarizedFlow:
     def test_contracts_toward_center(self):
         rng = np.random.default_rng(48)
         f = _random_capped(rng, n=2, d=2)
-        plan = make_plan(f.n, f.d, f.kappa)
+        plan = PolarizationPlan(f.n, f.d, f.kappa)
         dec = lifted_decomposition(plan.lifted_n, plan.d)
         norms = [
             centered_norm(polarize_up(polarized_flow(f, s), plan), dec)

@@ -11,7 +11,6 @@ from lorentzflow.poly import (
     MultiAffinePoly,
     compositions,
     elementary_symmetric,
-    enumerate_subsets,
     hessian_quadratic,
     normalize_at_ones,
     subset_basis,
@@ -26,44 +25,44 @@ def _is_colex_before(s, t):
 
 class TestSubsetBasis:
     def test_single_subset(self):
-        basis = enumerate_subsets(2, 2)
+        basis = subset_basis(2, 2)
         assert basis.subsets == ((0, 1),)
 
     def test_colex_order_three_choose_two(self):
-        basis = enumerate_subsets(3, 2)
+        basis = subset_basis(3, 2)
         assert basis.subsets == ((0, 1), (0, 2), (1, 2))
 
     def test_six_choose_three_size(self):
         # independent count: direct enumeration
         expected = len(list(itertools.combinations(range(6), 3)))
         assert expected == 20
-        assert enumerate_subsets(6, 3).size == 20
+        assert subset_basis(6, 3).size == 20
 
     @pytest.mark.parametrize("n,d", [(4, 2), (6, 3), (7, 4)])
     def test_order_is_colex(self, n, d):
-        subsets = enumerate_subsets(n, d).subsets
+        subsets = subset_basis(n, d).subsets
         for a, b in itertools.combinations(subsets, 2):
             assert _is_colex_before(a, b)
 
     def test_rank_unrank_roundtrip_exhaustive(self):
         for n in range(1, 11):
             for d in range(0, n + 1):
-                basis = enumerate_subsets(n, d)
+                basis = subset_basis(n, d)
                 assert basis.size == math.comb(n, d)
                 for i in range(basis.size):
                     assert basis.rank(basis.unrank(i)) == i
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            enumerate_subsets(0, 0)
+            subset_basis(0, 0)
         with pytest.raises(ValueError):
-            enumerate_subsets(3, 4)
+            subset_basis(3, 4)
         with pytest.raises(ValueError):
-            enumerate_subsets(17, 2)
+            subset_basis(17, 2)
 
     def test_rank_rejects_foreign_subset(self):
         with pytest.raises(ValueError):
-            enumerate_subsets(4, 2).rank((0, 5))
+            subset_basis(4, 2).rank((0, 5))
 
 
 class TestElementarySymmetric:

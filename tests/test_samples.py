@@ -44,11 +44,12 @@ def test_mixtures_certify():
 
 def test_interior_members_are_strict():
     rng = np.random.default_rng(74)
-    basis = subset_basis(4, 2)
-    dec = uniform_decomposition(4, 2)
-    for _ in range(5):
-        f = random_interior_member(basis, dec, rng)
-        assert certify_multiaffine(f).status is VerdictStatus.STRICT_INTERIOR
+    for n, d in [(4, 2), (8, 4)]:
+        basis = subset_basis(n, d)
+        dec = uniform_decomposition(n, d)
+        for _ in range(5):
+            f = random_interior_member(basis, dec, rng)
+            assert certify_multiaffine(f).status is VerdictStatus.STRICT_INTERIOR
 
 
 def test_zero_coefficient_surgery_gives_boundary():

@@ -176,6 +176,15 @@ class TestFlow:
                 assert np.linalg.norm(left.coeffs - right.coeffs) < 1e-10
                 assert abs(flow(f, s, dec).value_at_ones() - f.value_at_ones()) < 1e-10
 
+    def test_independent_of_basis_inside_eigenspaces(self, rotated_decomposition):
+        dec, rotated = rotated_decomposition
+        rng = np.random.default_rng(9)
+        f = MultiAffinePoly(dec.basis, rng.standard_normal(dec.size))
+        for s in (0.3, -0.5, 2.0):
+            a, b = flow(f, s, dec), flow(f, s, rotated)
+            assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-12
+            assert centered_norm(a, dec) == pytest.approx(centered_norm(b, rotated), abs=1e-12)
+
     def test_time_zero_is_identity(self):
         dec = uniform_decomposition(5, 2)
         rng = np.random.default_rng(8)
