@@ -12,6 +12,7 @@ from .poly import (
     elementary_symmetric,
     hessian_quadratic,
     normalize_at_ones,
+    restrict_lines,
     subset_basis,
 )
 from .strata import (

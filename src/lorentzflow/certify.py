@@ -9,20 +9,34 @@ sits within tolerance of the membership conditions; Rejected is
 conclusive and always carries a witness. The stability certificate
 samples directions, so there only Rejected is conclusive and the other
 two verdicts are evidence at the sampled resolution.
+
+Both certificates work on blocks of items with stacked numpy calls.
+The Lorentzian certificate gathers a block of Hessians of the (d-2)-fold
+derivatives straight from the coefficient vector, through a cached table
+of colex ranks, and eigensolves the block in one stacked ``eigh``. The
+stable certificate restricts f along a block of directions at once
+(``poly.restrict_lines``), runs the Newton power sums over all rows and
+takes the Hankel eigenvalues from one stacked ``eigvalsh``. Each stops at
+the first block that holds a failure, and its witness is the first
+failing item in the documented order: subsets in
+``itertools.combinations`` order, directions in seeded order. The scalar
+kernels (``symmetric_eigen``, ``lorentzian_signature``, ``hermite_matrix``,
+``real_rooted``) are one-row calls into the same code.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .poly import HomPoly, MultiAffinePoly, hessian_quadratic
+from .poly import HomPoly, MultiAffinePoly, restrict_lines
 from .strata import BasisFamily, is_matroid_bases
 from .polarization import polarize_up
-
-import itertools
 
 DEFAULT_TOL = 1e-9
 DEFAULT_DIRECTIONS = 256
@@ -31,6 +45,11 @@ DEFAULT_SEED = 1729
 # leading coefficients below this fraction of the largest one are treated
 # as degree drops, not as genuine leading terms
 _DEGENERATE_LEAD = 1e-14
+
+# working-set cap of one block of stacked Hessians, in float64 entries
+_HESSIAN_BLOCK_ENTRIES = 1 << 14
+# sampled directions per block of the stable certificate
+_DIRECTION_BLOCK = 64
 
 
 class SignatureClass(enum.Enum):
@@ -83,6 +102,24 @@ class RootResult:
     degree_dropped: bool = False
 
 
+def _checked_eigh(H):
+    """Stacked eigendecomposition of symmetric matrices (B, m, m),
+    eigenvalues ascending as LAPACK returns them; every matrix's
+    reconstruction and orthonormality invariants are verified."""
+    w, V = np.linalg.eigh(H)
+    Vt = V.transpose(0, 2, 1)
+    recon = (V * w[:, None, :]) @ Vt - H
+    # squared Frobenius norms against squared cutoffs
+    hnorm2 = np.maximum(1.0, (H * H).sum(axis=(1, 2)))
+    if ((recon * recon).sum(axis=(1, 2)) > 1e-18 * hnorm2).any():
+        raise RuntimeError("eigendecomposition reconstruction error too large")
+    m = H.shape[-1]
+    ortho = Vt @ V - np.eye(m)
+    if ((ortho * ortho).sum(axis=(1, 2)) > (1e-10 * max(1.0, m)) ** 2).any():
+        raise RuntimeError("eigenvectors failed orthonormality")
+    return w, V
+
+
 def symmetric_eigen(H) -> SymmetricSpectrum:
     """Eigendecomposition of a symmetric matrix, eigenvalues descending.
 
@@ -95,17 +132,21 @@ def symmetric_eigen(H) -> SymmetricSpectrum:
     scale = max(1.0, float(np.max(np.abs(H))) if H.size else 0.0)
     if np.max(np.abs(H - H.T)) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
-    w, V = np.linalg.eigh(H)
-    w = w[::-1].copy()
-    V = V[:, ::-1].copy()
-    hnorm = max(1.0, float(np.linalg.norm(H)))
-    if np.linalg.norm((V * w) @ V.T - H) > 1e-9 * hnorm:
-        raise RuntimeError("eigendecomposition reconstruction error too large")
-    if np.linalg.norm(V.T @ V - np.eye(H.shape[0])) > 1e-10 * max(1.0, H.shape[0]):
-        raise RuntimeError("eigenvectors failed orthonormality")
+    w, V = _checked_eigh(H[None])
+    w, V = w[0, ::-1].copy(), V[0, :, ::-1].copy()
     w.flags.writeable = False
     V.flags.writeable = False
     return SymmetricSpectrum(w, V)
+
+
+def _signatures(w, tol: float):
+    """Rows of ascending eigenvalues (B, m) -> (fail, strict) flags per
+    row, with the tolerance scaled by each row's trace norm: fail when the
+    two largest clear it, strict when only the largest does and every
+    other one lies below its negative."""
+    eff = tol * np.maximum(1.0, np.abs(w).sum(axis=1))
+    second = w[:, -2] if w.shape[1] > 1 else np.full(w.shape[0], -np.inf)
+    return second > eff, (w[:, -1] > eff) & (second < -eff)
 
 
 def lorentzian_signature(H, tol: float = DEFAULT_TOL):
@@ -117,16 +158,53 @@ def lorentzian_signature(H, tol: float = DEFAULT_TOL):
     FAIL means two or more clearly positive eigenvalues. The tolerance is
     scaled by the trace norm so it tracks the matrix's magnitude.
     """
-    spectrum = symmetric_eigen(H)
-    w = spectrum.eigenvalues
-    eff = tol * max(1.0, float(np.sum(np.abs(w))))
-    n_pos = int(np.count_nonzero(w > eff))
-    if n_pos >= 2:
+    w = symmetric_eigen(H).eigenvalues
+    fail, strict = _signatures(w[None, ::-1], tol)
+    if fail[0]:
         return SignatureClass.FAIL, w
-    n_neg = int(np.count_nonzero(w < -eff))
-    if n_pos == 1 and n_neg == w.size - 1:
+    if strict[0]:
         return SignatureClass.STRICT, w
     return SignatureClass.AT_MOST_ONE_POSITIVE, w
+
+
+@lru_cache(maxsize=None)
+def _hessian_ranks(n: int, d: int):
+    """Where the Hessians of the (d-2)-fold derivatives sit in the
+    coefficient vector of a degree-d multiaffine polynomial.
+
+    Row r is the r-th (d-2)-subset S in ``itertools.combinations`` order;
+    column p is the p-th pair i < j of S's complement, in
+    ``np.triu_indices`` order; the entry is the colex rank of S + {i, j},
+    rank(U) = sum_k C(u_k, k+1) over the sorted elements of U. uint16
+    holds every rank, since C(16, 8) = 12870. Built block by block.
+    Returns (ranks, upper-triangle indices).
+    """
+    m = n - d + 2
+    upper = np.triu_indices(m, 1)
+    pairs = upper[0].size
+    binom = np.array([[math.comb(x, k) for k in range(1, d + 1)] for x in range(n)])
+    ranks = np.empty((math.comb(n, d - 2), pairs), dtype=np.uint16)
+    combos = itertools.combinations(range(n), d - 2)
+    rows = max(1, _HESSIAN_BLOCK_ENTRIES // (pairs * d))
+    for lo in range(0, ranks.shape[0], rows):
+        chunk = list(itertools.islice(combos, rows))
+        S = np.array(chunk, dtype=np.intp).reshape(len(chunk), d - 2)
+        free = np.ones((S.shape[0], n), dtype=bool)
+        np.put_along_axis(free, S, False, axis=1)
+        rest = np.nonzero(free)[1].reshape(-1, m)
+        U = np.concatenate(
+            [
+                np.repeat(S[:, None, :], pairs, axis=1),
+                rest[:, upper[0], None],
+                rest[:, upper[1], None],
+            ],
+            axis=2,
+        )
+        U.sort(axis=2)
+        ranks[lo : lo + S.shape[0]] = binom[U, np.arange(d)].sum(axis=2)
+    for table in (ranks, *upper):
+        table.flags.writeable = False
+    return ranks, upper
 
 
 def _check_normalized(f) -> None:
@@ -163,22 +241,29 @@ def certify_multiaffine(f: MultiAffinePoly, tol: float = DEFAULT_TOL) -> Verdict
     strict_coeffs = bool(np.all(coeffs > tol))
     all_strict_signature = True
     if d >= 2:
-        for s in itertools.combinations(range(n), d - 2):
-            rest = [i for i in range(n) if i not in s]
-            H = hessian_quadratic(f.derivative(s), rest)
-            label, eigs = lorentzian_signature(H, tol)
-            if label is SignatureClass.FAIL:
+        ranks, (iu, ju) = _hessian_ranks(n, d)
+        m = n - d + 2
+        step = max(1, _HESSIAN_BLOCK_ENTRIES // (m * m))
+        for lo in range(0, ranks.shape[0], step):
+            vals = coeffs[ranks[lo : lo + step]]
+            H = np.zeros((vals.shape[0], m, m))
+            H[:, iu, ju] = vals
+            H[:, ju, iu] = vals
+            w, _ = _checked_eigh(H)
+            fail, strict = _signatures(w, tol)
+            if fail.any():
+                k = int(np.argmax(fail))
+                s = next(itertools.islice(itertools.combinations(range(n), d - 2), lo + k, None))
                 return Verdict(
                     VerdictStatus.REJECTED,
                     {
                         "kind": "hessian_signature",
                         "subset": list(s),
-                        "eigenvalues": [float(x) for x in eigs],
+                        "eigenvalues": w[k, ::-1].tolist(),
                     },
                     tol,
                 )
-            if label is not SignatureClass.STRICT:
-                all_strict_signature = False
+            all_strict_signature = all_strict_signature and bool(strict.all())
     if strict_coeffs and all_strict_signature:
         return Verdict(VerdictStatus.STRICT_INTERIOR, None, tol)
     support = tuple(
@@ -219,77 +304,91 @@ def certify_hom(f: HomPoly, tol: float = DEFAULT_TOL) -> Verdict:
     return Verdict(inner.status, witness, tol)
 
 
-def _trim_trailing(coeffs: np.ndarray):
-    """Drop degenerate leading coefficients; returns (trimmed, dropped)."""
-    c = np.asarray(coeffs, dtype=float)
-    if c.size == 0 or not np.any(c != 0.0):
+# root classes by the codes that _root_classes returns
+_ROOT_CLASSES = (RootClass.ALL_REAL_DISTINCT, RootClass.ALL_REAL_WITH_TIES, RootClass.NOT_ALL_REAL)
+_DISTINCT, _TIES, _COMPLEX = range(3)
+
+
+def _trim_rows(lines: np.ndarray):
+    """Per row of coefficients (R, k): the degree left after dropping
+    degenerate leading coefficients, and whether a nonzero one was
+    dropped."""
+    if lines.shape[1] == 0:
         raise ValueError("zero polynomial")
-    scale = float(np.max(np.abs(c)))
-    dropped = False
-    while c.size > 1 and abs(c[-1]) < _DEGENERATE_LEAD * scale:
-        if c[-1] != 0.0:
-            dropped = True
-        c = c[:-1]
-    return c, dropped
+    size = np.abs(lines)
+    scale = size.max(axis=1)
+    if np.any(scale == 0.0):
+        raise ValueError("zero polynomial")
+    live = size >= _DEGENERATE_LEAD * scale[:, None]
+    deg = lines.shape[1] - 1 - np.argmax(live[:, ::-1], axis=1)
+    dropped = np.any((lines != 0.0) & (np.arange(lines.shape[1]) > deg[:, None]), axis=1)
+    return deg, dropped
 
 
-def _power_sums(coeffs: np.ndarray, count: int) -> np.ndarray:
-    """Power sums of the roots from the coefficients, by the Newton
-    recurrences (monic normalization happens here)."""
-    c = np.asarray(coeffs, dtype=float)
-    m = c.size - 1
-    monic = c / c[-1]
-    s = np.empty(count)
-    s[0] = float(m)
-    for k in range(1, count):
-        acc = 0.0
+def _hankel(c: np.ndarray) -> np.ndarray:
+    """Stacked Hankel matrices of root power sums for rows of coefficients
+    (R, m+1) of one degree m, by the Newton recurrences run over all rows
+    at once (monic normalization happens here)."""
+    rows, m = c.shape[0], c.shape[1] - 1
+    monic = c / c[:, -1:]
+    s = np.empty((rows, 2 * m - 1))
+    s[:, 0] = m
+    for k in range(1, 2 * m - 1):
+        acc = np.zeros(rows)
         for i in range(1, min(k - 1, m) + 1):
-            acc += monic[m - i] * s[k - i]
+            acc += monic[:, m - i] * s[:, k - i]
         if k <= m:
-            acc += k * monic[m - k]
-        s[k] = -acc
-    return s
+            acc += k * monic[:, m - k]
+        s[:, k] = -acc
+    return s[:, np.add.outer(np.arange(m), np.arange(m))]
+
+
+def _root_classes(lines: np.ndarray, tol: float):
+    """Per row of coefficients (R, k): index into _ROOT_CLASSES and the
+    degree-drop flag. Rows are grouped by trimmed degree and each group's
+    Hankel eigenvalues come from one stacked eigvalsh."""
+    deg, dropped = _trim_rows(lines)
+    if np.any(deg < 1):
+        raise ValueError("need degree at least 1")
+    codes = np.empty(lines.shape[0], dtype=np.intp)
+    for m in set(deg.tolist()):
+        rows = np.flatnonzero(deg == m)
+        H = _hankel(lines[rows, : m + 1])
+        w0 = np.linalg.eigvalsh(H)[:, 0]
+        eff = tol * np.maximum(1.0, np.trace(H, axis1=1, axis2=2))
+        codes[rows] = np.where(w0 > eff, _DISTINCT, np.where(w0 < -eff, _COMPLEX, _TIES))
+    return codes, dropped
+
+
+def _trimmed(coeffs) -> np.ndarray:
+    """One polynomial's coefficients without degenerate leading ones; its
+    degree must stay at least 1."""
+    c = np.asarray(coeffs, dtype=float).reshape(1, -1)
+    deg, _ = _trim_rows(c)
+    if deg[0] < 1:
+        raise ValueError("need degree at least 1")
+    return c[0, : deg[0] + 1]
 
 
 def hermite_matrix(coeffs) -> np.ndarray:
     """Hankel matrix of root power sums. Positive definite iff all roots
     are real and distinct; positive semidefinite iff all roots are real."""
-    c, _ = _trim_trailing(coeffs)
-    m = c.size - 1
-    if m < 1:
-        raise ValueError("need degree at least 1")
-    s = _power_sums(c, 2 * m - 1)
-    H = np.empty((m, m))
-    for i in range(m):
-        for j in range(m):
-            H[i, j] = s[i + j]
-    return H
+    return _hankel(_trimmed(coeffs)[None])[0]
 
 
 def real_rooted(coeffs, tol: float = DEFAULT_TOL) -> RootResult:
     """Classify a univariate polynomial's roots through the power-sum
     Hankel matrix, with the tolerance scaled by its trace."""
-    c, dropped = _trim_trailing(coeffs)
-    if c.size - 1 < 1:
-        raise ValueError("need degree at least 1")
-    H = hermite_matrix(c)
-    w = np.linalg.eigvalsh(H)
-    eff = tol * max(1.0, float(np.trace(H)))
-    if w[0] > eff:
-        return RootResult(RootClass.ALL_REAL_DISTINCT, dropped)
-    if w[0] < -eff:
-        return RootResult(RootClass.NOT_ALL_REAL, dropped)
-    return RootResult(RootClass.ALL_REAL_WITH_TIES, dropped)
+    codes, dropped = _root_classes(np.asarray(coeffs, dtype=float).reshape(1, -1), tol)
+    return RootResult(_ROOT_CLASSES[codes[0]], bool(dropped[0]))
 
 
 def discriminant(coeffs) -> float:
     """Discriminant via the Sylvester resultant of the polynomial and its
     derivative, with the sign convention that a quadratic a t^2 + b t + c
     gets b^2 - 4 a c."""
-    c, _ = _trim_trailing(coeffs)
+    c = _trimmed(coeffs)
     m = c.size - 1
-    if m < 1:
-        raise ValueError("need degree at least 1")
     if m == 1:
         return 1.0
     dc = np.array([i * c[i] for i in range(1, m + 1)])
@@ -306,10 +405,12 @@ def discriminant(coeffs) -> float:
     return sign * res / float(c[-1])
 
 
+@lru_cache(maxsize=16)
 def sample_sphere_sumzero(n: int, count: int, seed: int) -> np.ndarray:
     """Deterministic unit vectors with coordinate sum zero, by projecting
     standard Gaussian draws onto the sum-zero hyperplane and normalizing.
-    Returns an array of shape (count, n)."""
+    Returns a read-only array of shape (count, n), cached by
+    (n, count, seed)."""
     if n < 2:
         raise ValueError(f"need at least two coordinates, got n={n}")
     if count < 1:
@@ -325,14 +426,17 @@ def sample_sphere_sumzero(n: int, count: int, seed: int) -> np.ndarray:
             continue
         out[k] = g / nrm
         k += 1
+    out.flags.writeable = False
     return out
 
 
 def _coefficient_items(f):
+    """Term labels and coefficient array, in the order witnesses report."""
     if isinstance(f, MultiAffinePoly):
-        return [(list(s), float(c)) for s, c in zip(f.basis.subsets, f.coeffs)]
+        return f.basis.subsets, f.coeffs
     if isinstance(f, HomPoly):
-        return [(list(a), c) for a, c in sorted(f.terms.items())]
+        items = sorted(f.terms.items())
+        return [a for a, _ in items], np.array([c for _, c in items])
     raise TypeError(f"unsupported polynomial type {type(f)!r}")
 
 
@@ -352,15 +456,16 @@ def certify_stable(
     roots and every coefficient clears the tolerance.
     """
     _check_normalized(f)
-    items = _coefficient_items(f)
-    for label, c in items:
-        if c < -tol:
-            return Verdict(
-                VerdictStatus.REJECTED,
-                {"kind": "negative_coefficient", "exponent": label, "value": c},
-                tol,
-            )
-    strict_coeffs = all(c > tol for _, c in items)
+    labels, values = _coefficient_items(f)
+    negative = np.flatnonzero(values < -tol)
+    if negative.size:
+        k = int(negative[0])
+        return Verdict(
+            VerdictStatus.REJECTED,
+            {"kind": "negative_coefficient", "exponent": list(labels[k]), "value": float(values[k])},
+            tol,
+        )
+    strict_coeffs = bool(np.all(values > tol))
     if f.n < 2 or f.d < 2:
         # univariate homogeneous (a single monomial) and linear cases are
         # stable outright; only the coefficient margin distinguishes
@@ -368,21 +473,24 @@ def certify_stable(
         status = VerdictStatus.STRICT_INTERIOR if strict_coeffs else VerdictStatus.BOUNDARY_WITHIN_TOL
         return Verdict(status, None, tol)
     ties_seen = False
-    for y in sample_sphere_sumzero(f.n, directions, seed):
-        line = f.restrict_line(y)
-        result = real_rooted(line, tol)
-        if result.kind is RootClass.NOT_ALL_REAL:
+    samples = sample_sphere_sumzero(f.n, directions, seed)
+    for lo in range(0, directions, _DIRECTION_BLOCK):
+        ys = samples[lo : lo + _DIRECTION_BLOCK]
+        lines = restrict_lines(f, ys)
+        codes, _ = _root_classes(lines, tol)
+        complex_rows = np.flatnonzero(codes == _COMPLEX)
+        if complex_rows.size:
+            k = int(complex_rows[0])
             return Verdict(
                 VerdictStatus.REJECTED,
                 {
                     "kind": "direction",
-                    "direction": [float(v) for v in y],
-                    "line_coefficients": [float(v) for v in line],
+                    "direction": ys[k].tolist(),
+                    "line_coefficients": lines[k].tolist(),
                 },
                 tol,
             )
-        if result.kind is RootClass.ALL_REAL_WITH_TIES:
-            ties_seen = True
+        ties_seen = ties_seen or bool(np.any(codes == _TIES))
     if strict_coeffs and not ties_seen:
         return Verdict(VerdictStatus.STRICT_INTERIOR, None, tol)
     return Verdict(VerdictStatus.BOUNDARY_WITHIN_TOL, None, tol)

@@ -157,15 +157,7 @@ class MultiAffinePoly:
         y = np.asarray(direction, dtype=float)
         if y.shape != (self.n,):
             raise ValueError(f"direction has shape {y.shape}, expected ({self.n},)")
-        out = np.zeros(self.d + 1)
-        for subset, a in zip(self.basis.subsets, self.coeffs):
-            if a == 0.0:
-                continue
-            factor = np.array([a])
-            for i in subset:
-                factor = np.convolve(factor, [-y[i], 1.0])
-            out[: factor.size] += factor
-        return out
+        return restrict_lines(self, y[None])[0]
 
     def support(self, tol: float = 1e-12):
         """Subsets whose coefficient exceeds tol relative to the largest."""
@@ -270,14 +262,7 @@ class HomPoly:
         y = np.asarray(direction, dtype=float)
         if y.shape != (self.n,):
             raise ValueError(f"direction has shape {y.shape}, expected ({self.n},)")
-        out = np.zeros(self.d + 1)
-        for alpha, c in self.terms.items():
-            factor = np.array([c])
-            for i, a in enumerate(alpha):
-                for _ in range(a):
-                    factor = np.convolve(factor, [-y[i], 1.0])
-            out[: factor.size] += factor
-        return out
+        return restrict_lines(self, y[None])[0]
 
     def support(self, tol: float = 1e-12):
         scale = max((abs(c) for c in self.terms.values()), default=0.0)
@@ -320,6 +305,63 @@ def normalize_at_ones(f):
     if v <= 0.0:
         raise ValueError(f"cannot normalize: value at the all-ones point is {v}")
     return f * (1.0 / v)
+
+
+# working-set cap of one block of restrict_lines, in float64 entries
+_LINE_BLOCK_ENTRIES = 1 << 15
+
+
+@lru_cache(maxsize=None)
+def _subset_table(n: int, d: int) -> np.ndarray:
+    """(C(n,d), d) variable indices of the colex basis, one row a subset."""
+    basis = subset_basis(n, d)
+    return _freeze(np.array(basis.subsets, dtype=np.uint8).reshape(basis.size, d))
+
+
+def _line_terms(f):
+    """Nonzero coefficients of f and, per term, the variable indices of its
+    factors (t - y_i): a subset is its own row, and an exponent alpha
+    repeats index i alpha_i times."""
+    if isinstance(f, MultiAffinePoly):
+        keep = f.coeffs != 0.0
+        return f.coeffs[keep], _subset_table(f.n, f.d)[keep]
+    if isinstance(f, HomPoly):
+        items = [(alpha, c) for alpha, c in f.terms.items() if c != 0.0]
+        rows = [[i for i, a in enumerate(alpha) for _ in range(a)] for alpha, _ in items]
+        idx = np.array(rows, dtype=np.intp).reshape(len(items), f.d)
+        return np.array([c for _, c in items]), idx
+    raise TypeError(f"unsupported polynomial type {type(f)!r}")
+
+
+def restrict_lines(f, directions) -> np.ndarray:
+    """Ascending coefficients of t -> f(t*ones - y) for every row y of
+    ``directions``, shape (D, d+1).
+
+    Works through blocks of directions; within a block every term's
+    factors (t - y_i) are multiplied in, for all terms and directions at
+    once, in the order of the term's variable indices, and then the terms
+    are summed. Working memory is bounded by the block size, not by D.
+    """
+    Y = np.asarray(directions, dtype=float)
+    if Y.ndim != 2 or Y.shape[1] != f.n:
+        raise ValueError(f"directions have shape {Y.shape}, expected (D, {f.n})")
+    a, idx = _line_terms(f)
+    d = f.d
+    out = np.zeros((Y.shape[0], d + 1))
+    if a.size == 0:
+        return out
+    step = max(1, _LINE_BLOCK_ENTRIES // (a.size * (d + 1)))
+    for lo in range(0, Y.shape[0], step):
+        yt = np.ascontiguousarray(Y[lo : lo + step].T)  # (n, block)
+        # P[j] holds the t^j coefficient of every term in every direction
+        P = np.zeros((d + 1, a.size, yt.shape[1]))
+        P[0] = a[:, None]
+        for k in range(d):
+            y = yt[idx[:, k]]
+            P[1 : k + 2] = P[: k + 1] - y * P[1 : k + 2]
+            P[0] *= -y
+        out[lo : lo + step] = P.sum(axis=1).T
+    return out
 
 
 def hessian_quadratic(q, variables=None) -> np.ndarray:

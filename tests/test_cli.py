@@ -71,6 +71,32 @@ class TestCertifyCommand:
         assert rc == 0
         assert json.loads(out_path.read_text())["status"] == "strict_interior"
 
+    def test_hessian_witness_is_plain_json(self, tmp_path, capsys):
+        # (w0 w1 + w2 w3) w4 w5 / 2: the derivative by {4, 5} has two
+        # positive Hessian eigenvalues
+        basis = subset_basis(6, 4)
+        coeffs = np.zeros(basis.size)
+        coeffs[basis.rank((0, 1, 4, 5))] = 0.5
+        coeffs[basis.rank((2, 3, 4, 5))] = 0.5
+        path = tmp_path / "pairs.json"
+        pio.save_poly(MultiAffinePoly(basis, coeffs), path)
+        rc = cli.main(["certify", "--input", str(path)])
+        witness = json.loads(capsys.readouterr().out)["witness"]
+        assert rc == 2
+        assert witness["kind"] == "hessian_signature"
+        assert witness["subset"] == [4, 5]
+        assert all(type(i) is int for i in witness["subset"])
+        assert len(witness["eigenvalues"]) == 4
+        assert all(type(x) is float for x in witness["eigenvalues"])
+
+    def test_direction_witness_is_plain_json(self, sum_of_squares_file, capsys):
+        rc = cli.main(["certify", "--input", str(sum_of_squares_file), "--mode", "stable"])
+        witness = json.loads(capsys.readouterr().out)["witness"]
+        assert rc == 2
+        assert witness["kind"] == "direction"
+        for key in ("direction", "line_coefficients"):
+            assert all(type(x) is float for x in witness[key])
+
 
 class TestFlowCommand:
     def test_trajectory_matches_closed_form(self, tmp_path, capsys):
