@@ -32,14 +32,10 @@ from .sep import (
     TranspositionRates,
     build_generator,
     centered_norm,
-    check_primitivity,
     eigen_coords,
     equilibrium,
     flow,
-    flow_matrix,
-    radius_bounds,
     spectral,
-    symmetrize_partition,
     uniform_decomposition,
     uniform_rates,
 )
@@ -75,7 +71,6 @@ from .ballmap import (
     MembershipOracle,
     ball_coordinates,
     capped_lorentzian_oracle,
-    contractive_flow_check,
     escape_time,
     multiaffine_lorentzian_oracle,
     stable_oracle,

@@ -1,4 +1,4 @@
-"""Contractive-flow verification and escape-time ball coordinates.
+"""Membership oracles and escape-time ball coordinates.
 
 The backward flow leaves any of the certified spaces in finite time
 (unless started at the flow's fixed point), because the forward flow maps
@@ -224,76 +224,3 @@ def trajectory(f, dec, times, oracle: MembershipOracle | None = None, plan=None)
             )
         )
     return rows
-
-
-@dataclass(frozen=True)
-class FlowCheckReport:
-    n_samples: int
-    identity_max: float
-    semigroup_max: float
-    mass_max: float
-    contraction_violations: tuple
-    lipschitz_max_ratio: float
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.identity_max <= 1e-10
-            and self.semigroup_max <= 1e-10
-            and self.mass_max <= 1e-10
-            and not self.contraction_violations
-        )
-
-
-def contractive_flow_check(
-    dec: SpectralDecomposition,
-    oracle: MembershipOracle,
-    samples,
-    times=(0.01, 0.1, 1.0),
-    pair_times=((0.3, 0.7), (1.5, -0.5), (-0.2, 0.9)),
-) -> FlowCheckReport:
-    """Numerically verify the contractive-flow properties on the given
-    member polynomials: time-zero identity, the two-sided semigroup law,
-    mass preservation, strict decrease of the centered norm for positive
-    times (skipping the fixed point), and a spectral Lipschitz bound as a
-    continuity probe."""
-    identity_max = 0.0
-    semigroup_max = 0.0
-    mass_max = 0.0
-    violations = []
-    lipschitz_max = 0.0
-    members = [g for g in samples if oracle.is_member(g)]
-    for f in members:
-        identity_max = max(
-            identity_max, float(np.max(np.abs(flow(f, 0.0, dec).coeffs - f.coeffs)))
-        )
-        for s1, s2 in pair_times:
-            left = flow(f, s1, dec)
-            left = flow(left, s2, dec)
-            right = flow(f, s1 + s2, dec)
-            semigroup_max = max(
-                semigroup_max, float(np.linalg.norm(left.coeffs - right.coeffs))
-            )
-        base = centered_norm(f, dec)
-        for s in times:
-            g = flow(f, float(s), dec)
-            mass_max = max(mass_max, abs(g.value_at_ones() - f.value_at_ones()))
-            if base > 1e-12 and not centered_norm(g, dec) < base:
-                violations.append((f, float(s)))
-    for a, b in zip(members, members[1:]):
-        diff = float(np.linalg.norm(a.coeffs - b.coeffs))
-        if diff < 1e-12:
-            continue
-        for s in times:
-            moved = float(
-                np.linalg.norm(flow(a, float(s), dec).coeffs - flow(b, float(s), dec).coeffs)
-            )
-            lipschitz_max = max(lipschitz_max, moved / diff)
-    return FlowCheckReport(
-        len(members),
-        identity_max,
-        semigroup_max,
-        mass_max,
-        tuple(violations),
-        lipschitz_max,
-    )

@@ -22,6 +22,15 @@ failing item in the documented order: subsets in
 ``itertools.combinations`` order, directions in seeded order. The scalar
 kernels (``symmetric_eigen``, ``lorentzian_signature``, ``hermite_matrix``,
 ``real_rooted``) are one-row calls into the same code.
+
+Capped polynomials are certified without the polarization lift. The
+lifted Hessians are constant on the blocks, so each one's spectrum is
+that of a block-quotient matrix of size at most n plus known repeated
+eigenvalues: C(n+d-3, d-2) small matrices, stacked by size, replace
+C(sum(kappa), d-2) lifted ones, and the verdict is the lift's. The
+exchange check runs only where it can fail: a support with every
+coefficient above tol is the uniform matroid, or the full capped box,
+which is M-convex.
 """
 
 from __future__ import annotations
@@ -34,9 +43,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .poly import HomPoly, MultiAffinePoly, restrict_lines
-from .strata import BasisFamily, is_matroid_bases
-from .polarization import polarize_up
+from .poly import HomPoly, MultiAffinePoly, compositions, restrict_lines
+from .strata import BasisFamily, MConvexCandidate, is_m_convex, is_matroid_bases
 
 DEFAULT_TOL = 1e-9
 DEFAULT_DIRECTIONS = 256
@@ -221,8 +229,10 @@ def certify_multiaffine(f: MultiAffinePoly, tol: float = DEFAULT_TOL) -> Verdict
     variable subset of size d-2, a strictly Lorentzian signature of the
     quadratic obtained by differentiating those variables away. The
     boundary verdict relaxes both to within-tolerance and additionally
-    requires the support to satisfy basis exchange, since the eigenvalue
-    conditions alone admit false positives at zero coefficients.
+    requires the support {c > tol} to satisfy basis exchange, since the
+    eigenvalue conditions alone admit false positives at zero
+    coefficients. When every coefficient clears tol the support is the
+    uniform matroid, and the exchange check is skipped.
     """
     _check_normalized(f)
     n, d = f.n, f.d
@@ -264,44 +274,168 @@ def certify_multiaffine(f: MultiAffinePoly, tol: float = DEFAULT_TOL) -> Verdict
                     tol,
                 )
             all_strict_signature = all_strict_signature and bool(strict.all())
-    if strict_coeffs and all_strict_signature:
-        return Verdict(VerdictStatus.STRICT_INTERIOR, None, tol)
-    support = tuple(
-        s for s, c in zip(f.basis.subsets, coeffs) if c > tol
-    )
+    return _settle(strict_coeffs, all_strict_signature, lambda: _basis_exchange(f, tol), tol)
+
+
+def _basis_exchange(f: MultiAffinePoly, tol: float):
+    """Rejection witness of the support {c > tol} of f, or None when it
+    satisfies basis exchange."""
+    support = tuple(s for s, c in zip(f.basis.subsets, f.coeffs) if c > tol)
     if not support:
-        return Verdict(
-            VerdictStatus.REJECTED,
-            {"kind": "empty_support"},
-            tol,
-        )
-    check = is_matroid_bases(BasisFamily(n, d, support))
-    if not check:
-        b1, b2, x = check.witness
-        return Verdict(
-            VerdictStatus.REJECTED,
-            {
-                "kind": "support_exchange",
-                "basis_one": list(b1),
-                "basis_two": list(b2),
-                "element": int(x),
-            },
-            tol,
-        )
+        return {"kind": "empty_support"}
+    check = is_matroid_bases(BasisFamily(f.n, f.d, support))
+    if check:
+        return None
+    b1, b2, x = check.witness
+    return {"kind": "support_exchange", "basis_one": list(b1), "basis_two": list(b2), "element": int(x)}
+
+
+def _settle(strict_coeffs: bool, strict_signature: bool, exchange, tol: float) -> Verdict:
+    """Verdict of a Lorentzian certificate in which no Hessian failed.
+
+    When every coefficient clears tol, the support is the whole family:
+    the uniform matroid, or the full capped box, which is M-convex. So
+    only a support with some coefficient within tol goes through
+    ``exchange``, which returns a rejection witness or None.
+    """
+    if strict_coeffs:
+        status = VerdictStatus.STRICT_INTERIOR if strict_signature else VerdictStatus.BOUNDARY_WITHIN_TOL
+        return Verdict(status, None, tol)
+    witness = exchange()
+    if witness is not None:
+        return Verdict(VerdictStatus.REJECTED, witness, tol)
     return Verdict(VerdictStatus.BOUNDARY_WITHIN_TOL, None, tol)
 
 
+@lru_cache(maxsize=64)
+def _quotient_tables(n: int, d: int, kappa: tuple):
+    """Where the block-quotient Hessians of a capped polynomial sit in its
+    vector g over the exponents ``compositions(d, n, kappa)``, with one
+    zero appended at the end for exponents past the caps.
+
+    The lift gives every lifted subset of composition alpha the
+    coefficient g(alpha) = c_alpha / prod_i C(kappa_i, alpha_i). The
+    lifted Hessian at a (d-2)-subset of composition beta is constant on
+    the blocks. With m_i = kappa_i - beta_i free variables in block i, it
+    acts on vectors constant on each block as Q_beta, over the i with
+    m_i > 0: Q_ij = sqrt(m_i m_j) g(beta + e_i + e_j) off the diagonal and
+    Q_ii = (m_i - 1) g(beta + 2 e_i). On vectors that sum to zero inside
+    block i it is -g(beta + 2 e_i), m_i - 1 times. So a row of the lifted
+    spectrum, of length sum(kappa) - d + 2, is eig(Q_beta) plus these.
+
+    The betas run in descending lexicographic order, the order in which
+    ``itertools.combinations`` first meets each composition on the lifted
+    variables. Returns (exponents, binomials (N, n), betas, groups), one
+    group per size k of Q: (rows into betas, Q indices (B, k, k), Q scales
+    (B, k, k), indices of the within-block eigenvalues (B, rest)).
+    """
+    comps = tuple(compositions(d, n, kappa))
+    where = {alpha: r for r, alpha in enumerate(comps)}
+    past = len(comps)
+    binom = np.array(
+        [[math.comb(k, a) for a, k in zip(alpha, kappa)] for alpha in comps], dtype=float
+    ).reshape(past, n)
+    betas = tuple(compositions(d - 2, n, kappa))[::-1] if d >= 2 else ()
+    length = sum(kappa) - d + 2
+    grouped = {}
+    for r, beta in enumerate(betas):
+        free = [i for i in range(n) if beta[i] < kappa[i]]
+        m = [kappa[i] - beta[i] for i in free]
+
+        def at(i, j):
+            alpha = list(beta)
+            alpha[i] += 1
+            alpha[j] += 1
+            return where.get(tuple(alpha), past)
+
+        rows, idx, scale, rest = grouped.setdefault(len(free), ([], [], [], []))
+        rows.append(r)
+        idx.append([[at(i, j) for j in free] for i in free])
+        scale.append([[math.sqrt(a * b) if p != q else a - 1 for q, b in enumerate(m)] for p, a in enumerate(m)])
+        rest.append([at(i, i) for i, a in zip(free, m) for _ in range(a - 1)])
+    groups = []
+    for k, (rows, idx, scale, rest) in sorted(grouped.items()):
+        B = len(rows)
+        groups.append(
+            (
+                np.array(rows, dtype=np.intp),
+                np.array(idx, dtype=np.int32).reshape(B, k, k),
+                np.array(scale, dtype=float).reshape(B, k, k),
+                np.array(rest, dtype=np.int32).reshape(B, length - k),
+            )
+        )
+    for table in (binom, *(t for group in groups for t in group)):
+        table.flags.writeable = False
+    return comps, binom, betas, tuple(groups)
+
+
 def certify_hom(f: HomPoly, tol: float = DEFAULT_TOL) -> Verdict:
-    """Lorentzian certificate for a capped polynomial, decided through the
-    lift: lifting is a linear isomorphism onto block-symmetric multiaffine
-    polynomials and preserves membership and interiority both ways."""
+    """Lorentzian certificate for a normalized capped polynomial, decided
+    without lifting it.
+
+    Lifting is a linear isomorphism onto block-symmetric multiaffine
+    polynomials that preserves membership and interiority both ways, and
+    this certificate returns the verdict of the lift's certificate by
+    construction: the coefficient checks compare the lift's coefficients
+    g(alpha) = c_alpha / prod_i C(kappa_i, alpha_i) with tol, and each
+    lifted Hessian's spectrum comes from a block-quotient matrix of size
+    at most n (``_quotient_tables``), cut by the same trace norm. On the
+    boundary path the support {g > tol} goes through ``is_m_convex``,
+    which on capped exponents is basis exchange on the lifted support.
+
+    Witnesses name exponents: a negative coefficient's ``exponent`` is the
+    first smallest g in lexicographic order and its ``value`` is g; a
+    failing Hessian's ``exponent`` is the first failing beta in
+    descending lexicographic order, with the lifted spectrum descending;
+    a support exchange failure reports ``is_m_convex``'s (alpha, beta, i)
+    as ``exponent_one``, ``exponent_two`` and ``element``.
+    """
     _check_normalized(f)
-    inner = certify_multiaffine(polarize_up(f), tol)
-    if inner.witness is None:
-        return inner
-    witness = dict(inner.witness)
-    witness["lifted"] = True
-    return Verdict(inner.status, witness, tol)
+    n, d = f.n, f.d
+    comps, binom, betas, groups = _quotient_tables(n, d, f.kappa)
+    g = np.array([f.terms.get(alpha, 0.0) for alpha in comps])
+    # one division per variable, in the lift's order, so that g is the
+    # lift's coefficients to the last bit
+    for i in range(n):
+        g /= binom[:, i]
+    worst = int(np.argmin(g))
+    if g[worst] < -tol:
+        return Verdict(
+            VerdictStatus.REJECTED,
+            {"kind": "negative_coefficient", "exponent": list(comps[worst]), "value": float(g[worst])},
+            tol,
+        )
+    strict_coeffs = bool(np.all(g > tol))
+    padded = np.append(g, 0.0)
+    failures = []
+    all_strict_signature = True
+    for rows, idx, scale, rest in groups:
+        w, _ = _checked_eigh(padded[idx] * scale)
+        w = np.sort(np.concatenate([w, -padded[rest]], axis=1), axis=1)
+        fail, strict = _signatures(w, tol)
+        if fail.any():
+            k = int(np.argmax(fail))
+            failures.append((int(rows[k]), w[k, ::-1].tolist()))
+        all_strict_signature = all_strict_signature and bool(strict.all())
+    if failures:
+        r, eigenvalues = min(failures)
+        return Verdict(
+            VerdictStatus.REJECTED,
+            {"kind": "hessian_signature", "exponent": list(betas[r]), "eigenvalues": eigenvalues},
+            tol,
+        )
+
+    def exchange():
+        support = [alpha for alpha, v in zip(comps, g) if v > tol]
+        if not support:
+            return {"kind": "empty_support"}
+        check = is_m_convex(MConvexCandidate(n, d, support))
+        if check:
+            return None
+        a, b, i = check.witness
+        return {"kind": "support_exchange", "exponent_one": list(a), "exponent_two": list(b), "element": int(i)}
+
+    return _settle(strict_coeffs, all_strict_signature, exchange, tol)
 
 
 # root classes by the codes that _root_classes returns

@@ -205,23 +205,6 @@ def spectral(gen: SepGenerator) -> SpectralDecomposition:
     return SpectralDecomposition(gen.basis, w, vectors, gen.rates)
 
 
-def check_primitivity(gen, max_power: int | None = None) -> int:
-    """Smallest power of the generator with all entries positive, found by
-    iterated boolean products. Accepts a SepGenerator or a raw square
-    matrix; raises PeriodicFlowError when no power up to the cap works."""
-    M = gen.matrix if isinstance(gen, SepGenerator) else np.asarray(gen, dtype=float)
-    size = M.shape[0]
-    if max_power is None:
-        max_power = 2 * size
-    step = M > 0.0
-    reach = step.copy()
-    for m in range(1, max_power + 1):
-        if reach.all():
-            return m
-        reach = (reach.astype(np.int64) @ step.astype(np.int64)) > 0
-    raise PeriodicFlowError(f"no positive power up to {max_power}; the action is not primitive")
-
-
 def _check_compatible(f: MultiAffinePoly, dec: SpectralDecomposition) -> None:
     if f.basis != dec.basis:
         raise ValueError(
@@ -244,12 +227,6 @@ def flow(f: MultiAffinePoly, s: float, dec: SpectralDecomposition) -> MultiAffin
     V = dec.vectors
     x = V.T @ f.coeffs
     return MultiAffinePoly(f.basis, V @ (_decay_factors(s, dec) * x))
-
-
-def flow_matrix(s: float, dec: SpectralDecomposition) -> np.ndarray:
-    """Dense matrix of the time-s flow."""
-    V = dec.vectors
-    return (V * _decay_factors(s, dec)) @ V.T
 
 
 def eigen_coords(f: MultiAffinePoly, dec: SpectralDecomposition):
@@ -277,46 +254,6 @@ def equilibrium(dec: SpectralDecomposition) -> MultiAffinePoly:
     """The flow's fixed point: the normalized all-ones coefficient vector."""
     size = dec.size
     return MultiAffinePoly(dec.basis, np.full(size, 1.0 / size))
-
-
-def radius_bounds(r: float, s: float, dec: SpectralDecomposition):
-    """Sandwich radii for the image of a centered ball of radius ``r``
-    under the time-s flow: the slowest and fastest mode decay rates give
-    (inner, outer) = (r*exp(-s*(1-lambda_min)), r*exp(-s*(1-lambda_second)))."""
-    if r < 0.0:
-        raise ValueError(f"radius must be nonnegative, got {r}")
-    lam = dec.eigenvalues
-    lam_second = float(lam[1]) if dec.size > 1 else 1.0
-    lam_min = float(lam[-1]) if dec.size > 1 else 1.0
-    return (
-        r * math.exp(-s * (1.0 - lam_min)),
-        r * math.exp(-s * (1.0 - lam_second)),
-    )
-
-
-def symmetrize_partition(f: MultiAffinePoly, blocks) -> MultiAffinePoly:
-    """Average the coefficients of ``f`` over all permutations of the
-    variables inside each block of the given partition. Computed by
-    averaging coefficients over orbit classes of subsets (the class of a
-    subset is how many of its elements fall in each block)."""
-    blocks = [tuple(sorted(set(b))) for b in blocks]
-    flat = sorted(i for b in blocks for i in b)
-    if flat != list(range(f.n)):
-        raise ValueError(f"{blocks} is not a partition of 0..{f.n - 1}")
-    block_of = {}
-    for bi, b in enumerate(blocks):
-        for i in b:
-            block_of[i] = bi
-    groups = {}
-    for idx, subset in enumerate(f.basis.subsets):
-        sig = [0] * len(blocks)
-        for i in subset:
-            sig[block_of[i]] += 1
-        groups.setdefault(tuple(sig), []).append(idx)
-    out = np.empty_like(f.coeffs)
-    for idxs in groups.values():
-        out[idxs] = float(f.coeffs[idxs].mean())
-    return MultiAffinePoly(f.basis, out)
 
 
 def uniform_decomposition(n: int, d: int) -> SpectralDecomposition:

@@ -50,7 +50,6 @@ from lorentzflow.sep import (
     build_generator,
     centered_norm,
     flow,
-    radius_bounds,
     uniform_decomposition,
     uniform_rates,
 )
@@ -60,6 +59,8 @@ from lorentzflow.strata import (
     is_m_convex,
     is_matroid_bases,
 )
+
+from flow_helpers import radius_bounds
 
 
 def _report(num, name, started):

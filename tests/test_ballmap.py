@@ -9,7 +9,6 @@ from lorentzflow.ballmap import (
     InfiniteEscape,
     ball_coordinates,
     capped_lorentzian_oracle,
-    contractive_flow_check,
     escape_time,
     multiaffine_lorentzian_oracle,
     trajectory,
@@ -19,6 +18,8 @@ from lorentzflow.poly import HomPoly, MultiAffinePoly, normalize_at_ones, subset
 from lorentzflow.polarization import stable_center
 from lorentzflow.samples import random_member_mixture
 from lorentzflow.sep import centered_norm, equilibrium, flow, uniform_decomposition
+
+from flow_helpers import contractive_flow_check
 
 
 @pytest.fixture(scope="module")

@@ -177,7 +177,9 @@ class TestCertifyHom:
         f = HomPoly(2, 2, (2, 2), {(2, 0): 0.5, (0, 2): 0.5})
         v = certify_hom(f)
         assert v.status is VerdictStatus.REJECTED
-        assert v.witness["lifted"] is True
+        assert v.witness["kind"] == "hessian_signature"
+        assert v.witness["exponent"] == [0, 0]
+        assert np.allclose(v.witness["eigenvalues"], [0.5, 0.5, -0.5, -0.5], rtol=0, atol=1e-12)
 
     def test_cap_violation_is_domain_error(self):
         f = HomPoly(2, 3, (3, 3), {(3, 0): 0.5, (0, 3): 0.5})

@@ -89,6 +89,18 @@ class TestCertifyCommand:
         assert len(witness["eigenvalues"]) == 4
         assert all(type(x) is float for x in witness["eigenvalues"])
 
+    def test_capped_witness_is_plain_json(self, sum_of_squares_file, capsys):
+        # (x0^2 + x1^2) / 2 with caps (2, 2): decided without the lift, the
+        # witness names the exponent of the failing derivative
+        rc = cli.main(["certify", "--input", str(sum_of_squares_file)])
+        witness = json.loads(capsys.readouterr().out)["witness"]
+        assert rc == 2
+        assert witness["kind"] == "hessian_signature"
+        assert witness["exponent"] == [0, 0]
+        assert all(type(i) is int for i in witness["exponent"])
+        assert "subset" not in witness and "lifted" not in witness
+        assert all(type(x) is float for x in witness["eigenvalues"])
+
     def test_direction_witness_is_plain_json(self, sum_of_squares_file, capsys):
         rc = cli.main(["certify", "--input", str(sum_of_squares_file), "--mode", "stable"])
         witness = json.loads(capsys.readouterr().out)["witness"]

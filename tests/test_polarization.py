@@ -22,7 +22,9 @@ from lorentzflow.polarization import (
     project_down,
     stable_center,
 )
-from lorentzflow.sep import centered_norm, symmetrize_partition
+from lorentzflow.sep import centered_norm
+
+from flow_helpers import symmetrize_partition
 
 
 def _random_capped(rng, n=None, d=None):

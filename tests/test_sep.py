@@ -13,17 +13,15 @@ from lorentzflow.sep import (
     TranspositionRates,
     build_generator,
     centered_norm,
-    check_primitivity,
     eigen_coords,
     equilibrium,
     flow,
-    flow_matrix,
-    radius_bounds,
     spectral,
-    symmetrize_partition,
     uniform_decomposition,
     uniform_rates,
 )
+
+from flow_helpers import check_primitivity, flow_matrix, radius_bounds, symmetrize_partition
 
 
 def _taylor_flow_matrix(L, s, terms=60):
