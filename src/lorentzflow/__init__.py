@@ -50,19 +50,14 @@ from .polarization import (
 from .certify import (
     RootClass,
     RootResult,
-    SignatureClass,
-    SymmetricSpectrum,
     Verdict,
     VerdictStatus,
     certify_hom,
     certify_multiaffine,
     certify_stable,
-    discriminant,
     hermite_matrix,
-    lorentzian_signature,
     real_rooted,
     sample_sphere_sumzero,
-    symmetric_eigen,
 )
 from .ballmap import (
     EscapeNotBracketed,

@@ -1,7 +1,6 @@
 """Membership and interiority certificates for Lorentzian and real stable
-polynomials, plus the shared numerical kernels: symmetric
-eigendecomposition, real-rootedness via the Hankel matrix of root power
-sums, and discriminants.
+polynomials, plus the real-rootedness kernel: the Hankel matrix of root
+power sums.
 
 Verdicts are three-valued. StrictInterior means every sub-check passed
 with margin above the tolerance; BoundaryWithinTol means the polynomial
@@ -10,27 +9,29 @@ conclusive and always carries a witness. The stability certificate
 samples directions, so there only Rejected is conclusive and the other
 two verdicts are evidence at the sampled resolution.
 
-Both certificates work on blocks of items with stacked numpy calls.
-The Lorentzian certificate gathers a block of Hessians of the (d-2)-fold
-derivatives straight from the coefficient vector, through a cached table
-of colex ranks, and eigensolves the block in one stacked ``eigh``. The
-stable certificate restricts f along a block of directions at once
-(``poly.restrict_lines``), runs the Newton power sums over all rows and
-takes the Hankel eigenvalues from one stacked ``eigvalsh``. Each stops at
-the first block that holds a failure, and its witness is the first
-failing item in the documented order: subsets in
-``itertools.combinations`` order, directions in seeded order. The scalar
-kernels (``symmetric_eigen``, ``lorentzian_signature``, ``hermite_matrix``,
-``real_rooted``) are one-row calls into the same code.
+One engine decides every Lorentzian input. A multiaffine polynomial is
+the capped polynomial with kappa = 1^n, and for every cap vector the
+Hessians of the (d-2)-fold derivatives of the polarization lift are
+constant on the blocks: each one's spectrum is that of a block-quotient
+matrix of size at most n plus known repeated eigenvalues, and at
+kappa = 1^n the quotient is the multiaffine Hessian itself. One cached
+table per (n, d, kappa) says where every quotient matrix sits in the
+coefficient vector. The engine walks it in blocks, eigensolves each
+matrix size in a block with one stacked ``eigh``, and stops at the first
+block that holds a failure. The verdict is the lift's, and no lift is
+built. The exchange check runs only where it can fail: a support with
+every coefficient above tol is the uniform matroid, or the full capped
+box, which is M-convex.
 
-Capped polynomials are certified without the polarization lift. The
-lifted Hessians are constant on the blocks, so each one's spectrum is
-that of a block-quotient matrix of size at most n plus known repeated
-eigenvalues: C(n+d-3, d-2) small matrices, stacked by size, replace
-C(sum(kappa), d-2) lifted ones, and the verdict is the lift's. The
-exchange check runs only where it can fail: a support with every
-coefficient above tol is the uniform matroid, or the full capped box,
-which is M-convex.
+The stable certificate restricts f along a block of directions at once
+(``poly.restrict_lines``), runs the Newton power sums over all rows and
+takes the Hankel eigenvalues from one stacked ``eigvalsh``, again
+stopping at the first block that holds a failure. Every witness is the
+first failing item in the documented order: for the Lorentzian
+certificates, coefficients in colex order and derivatives in descending
+lexicographic order of their exponent (for multiaffine inputs, subsets in
+``itertools.combinations`` order); for the stable one, directions in
+seeded order.
 """
 
 from __future__ import annotations
@@ -40,10 +41,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .poly import HomPoly, MultiAffinePoly, compositions, restrict_lines
+from .poly import HomPoly, MultiAffinePoly, restrict_lines
 from .strata import BasisFamily, MConvexCandidate, is_m_convex, is_matroid_bases
 
 DEFAULT_TOL = 1e-9
@@ -58,12 +60,6 @@ _DEGENERATE_LEAD = 1e-14
 _HESSIAN_BLOCK_ENTRIES = 1 << 14
 # sampled directions per block of the stable certificate
 _DIRECTION_BLOCK = 64
-
-
-class SignatureClass(enum.Enum):
-    STRICT = "strict"
-    AT_MOST_ONE_POSITIVE = "at_most_one_positive"
-    FAIL = "fail"
 
 
 class RootClass(enum.Enum):
@@ -97,14 +93,6 @@ class Verdict:
 
 
 @dataclass(frozen=True)
-class SymmetricSpectrum:
-    """Descending eigenvalues and orthonormal eigenvectors (columns)."""
-
-    eigenvalues: np.ndarray
-    vectors: np.ndarray
-
-
-@dataclass(frozen=True)
 class RootResult:
     kind: RootClass
     degree_dropped: bool = False
@@ -128,91 +116,196 @@ def _checked_eigh(H):
     return w, V
 
 
-def symmetric_eigen(H) -> SymmetricSpectrum:
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending.
-
-    Backed by LAPACK's symmetric solver; the reconstruction and
-    orthonormality invariants are verified before returning.
-    """
-    H = np.asarray(H, dtype=float)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError(f"need a square matrix, got shape {H.shape}")
-    scale = max(1.0, float(np.max(np.abs(H))) if H.size else 0.0)
-    if np.max(np.abs(H - H.T)) > 1e-12 * scale:
-        raise ValueError("matrix is not symmetric")
-    w, V = _checked_eigh(H[None])
-    w, V = w[0, ::-1].copy(), V[0, :, ::-1].copy()
-    w.flags.writeable = False
-    V.flags.writeable = False
-    return SymmetricSpectrum(w, V)
-
-
 def _signatures(w, tol: float):
-    """Rows of ascending eigenvalues (B, m) -> (fail, strict) flags per
-    row, with the tolerance scaled by each row's trace norm: fail when the
-    two largest clear it, strict when only the largest does and every
+    """Rows of ascending eigenvalues (B, m), m >= 2 -> (fail, strict) flags
+    per row, with the tolerance scaled by each row's trace norm: fail when
+    the two largest clear it, strict when only the largest does and every
     other one lies below its negative."""
     eff = tol * np.maximum(1.0, np.abs(w).sum(axis=1))
-    second = w[:, -2] if w.shape[1] > 1 else np.full(w.shape[0], -np.inf)
-    return second > eff, (w[:, -1] > eff) & (second < -eff)
+    return w[:, -2] > eff, (w[:, -1] > eff) & (w[:, -2] < -eff)
 
 
-def lorentzian_signature(H, tol: float = DEFAULT_TOL):
-    """Classify the eigenvalue signature of a symmetric matrix.
+class _Table(NamedTuple):
+    """Layout of the Lorentzian certificate for one (n, d, kappa), built by
+    ``_table``: N degree-d exponents, one row per beta."""
 
-    Returns (SignatureClass, eigenvalues). STRICT means exactly one
-    eigenvalue above the tolerance and all others below its negative;
-    AT_MOST_ONE_POSITIVE allows eigenvalues inside the tolerance band;
-    FAIL means two or more clearly positive eigenvalues. The tolerance is
-    scaled by the trace norm so it tracks the matrix's magnitude.
+    radix: np.ndarray  # (n,) place values of the exponent code
+    base: np.ndarray  # (n,) digit bases, min(kappa_i, d) + 1
+    codes: np.ndarray  # (N,) codes of the degree-d exponents, ascending
+    binom: np.ndarray | None  # (n, N) C(kappa_i, alpha_i); None at kappa = 1^n
+    betas: np.ndarray  # codes of the betas, descending lexicographic
+    width: int  # largest size of Q_beta
+    upper: tuple  # (iu, ju): the stored entries of a width x width matrix
+    index: np.ndarray  # where each stored entry sits in g
+    size: np.ndarray | None  # size of each Q_beta; None when all are width
+    scale: np.ndarray | None  # entry scales; None when every m_i <= 1
+    rest: np.ndarray | None  # where each lifted spectrum's within-block part sits in g
+
+
+def _digits(table: _Table, codes) -> np.ndarray:
+    """Exponent vectors (..., n) of exponent codes."""
+    return (np.asarray(codes, dtype=np.int64)[..., None] // table.radix) % table.base
+
+
+@lru_cache(maxsize=64)
+def _table(n: int, d: int, kappa: tuple) -> _Table:
+    """Where the block-quotient Hessians of a capped polynomial sit in its
+    coefficient vector g, built with no Python loop over exponents.
+
+    An exponent alpha has the mixed-radix code sum_i alpha_i r_i, with
+    r_0 = 1 and r_{i+1} = r_i (min(kappa_i, d) + 1). Sorted by code, the
+    degree-d exponents are in colex order, at kappa = 1^n the order of
+    ``SubsetBasis``; g follows that order, and a trailing zero stands for
+    every exponent past the caps. The code is additive, so every entry of
+    every Q_beta is found by one broadcast sum and one ``searchsorted``.
+    Caps whose codes overflow int64 are refused.
+
+    The lift gives every lifted subset of composition alpha the
+    coefficient g(alpha) = c_alpha / prod_i C(kappa_i, alpha_i). The
+    lifted Hessian at a (d-2)-subset of composition beta is constant on
+    the blocks. With m_i = kappa_i - beta_i free variables in block i, it
+    acts on vectors constant on each block as Q_beta, over the k free i
+    (m_i > 0) in ascending order: Q_ij = sqrt(m_i m_j) g(beta + e_i + e_j)
+    off the diagonal and Q_ii = (m_i - 1) g(beta + 2 e_i). On vectors that
+    sum to zero inside block i it is -g(beta + 2 e_i), m_i - 1 times. So
+    a row of the lifted spectrum, of length sum(kappa) - d + 2, is
+    eig(Q_beta) plus these. At kappa = 1^n every m_i is 1: Q_beta is the
+    multiaffine Hessian, its diagonal is zero and nothing is added.
+
+    The betas run in descending lexicographic order, the order in which
+    ``itertools.combinations`` first meets each composition on the lifted
+    variables. A row holds the upper triangle of its Q_beta, in
+    ``np.triu_indices`` order, as the trailing k x k block of a
+    width x width matrix whose other entries read the trailing zero. The
+    diagonal, the scales and the within-block eigenvalues are kept only
+    where some m_i > 1; a row of the latter is as long as a lifted
+    spectrum, and its first k entries, where eig(Q_beta) goes, read the
+    trailing zero.
     """
-    w = symmetric_eigen(H).eigenvalues
-    fail, strict = _signatures(w[None, ::-1], tol)
-    if fail[0]:
-        return SignatureClass.FAIL, w
-    if strict[0]:
-        return SignatureClass.STRICT, w
-    return SignatureClass.AT_MOST_ONE_POSITIVE, w
+    caps = np.array(kappa, dtype=np.int64)
+    base = np.minimum(caps, d) + 1
+    top = math.prod(base.tolist())
+    if top > np.iinfo(np.int64).max:
+        raise ValueError(f"exponent codes of caps {kappa} at degree {d} do not fit in int64")
+    radix = np.cumprod(np.concatenate([[1], base[:-1]])).astype(np.int64)
+    # every exponent of degree <= d; the new digit is the most significant
+    # and varies slowest, so the codes stay ascending
+    codes = sums = np.zeros(1, dtype=np.int64)
+    for b, r in zip(base.tolist(), radix.tolist()):
+        digit = np.arange(b, dtype=np.int64)[:, None]
+        codes, sums = (r * digit + codes).ravel(), (digit + sums).ravel()
+        codes, sums = codes[sums <= d], sums[sums <= d]
+    alphas, betas = codes[sums == d], codes[sums == d - 2]
+    B = (betas[:, None] // radix) % base
+    m = caps - B
+    size = (m > 0).sum(axis=1)
+    width = int(size.max()) if betas.size else 0
+    diagonal = bool((m > 1).any())
+    # built in code order of the betas, one row per stored entry, so that
+    # the targets come mostly ascending, which searchsorted walks fastest;
+    # each beta's free variables ascending, behind its capped ones
+    var = np.argsort(m > 0, axis=1, kind="stable")[:, n - width :]
+    mv, rv = np.take_along_axis(m, var, axis=1).T, radix[var].T
+    iu, ju = np.triu_indices(width, 0 if diagonal else 1)
+    ok = (mv[iu] > 0) & (mv[ju] > 0)
+    if diagonal:
+        ok[iu == ju] = mv > 1
+    dtype = np.min_scalar_type(alphas.size)
+    index = np.where(ok, np.searchsorted(alphas, betas + rv[iu] + rv[ju]), alphas.size).astype(dtype)
+    binom = scale = rest = None
+    if any(k > 1 for k in kappa):
+        comb = np.array([[math.comb(k, a) for a in range(d + 1)] for k in kappa], dtype=float)
+        binom = np.take_along_axis(comb, ((alphas[:, None] // radix) % base).T, axis=1)
+    if diagonal:
+        mi, mj = mv[iu].astype(float), mv[ju].astype(float)
+        scale = np.where((iu == ju)[:, None], mi - 1, np.sqrt(mi * mj))
+        # g(beta + 2 e_i), m_i - 1 times per free i, behind the k slots of
+        # eig(Q_beta): a row as long as a lifted spectrum, sum_i m_i
+        length = sum(kappa) - d + 2
+        twice = np.searchsorted(alphas, betas[:, None] + 2 * radix)
+        rest = np.full((betas.size, length), alphas.size, dtype=dtype)
+        rest[np.arange(length) >= size[:, None]] = np.repeat(twice.ravel(), np.maximum(m - 1, 0).ravel())
+    # descending lexicographic order: the first variable is the most significant
+    order = np.argsort(B @ (top // (radix * base)))[::-1]
+    code = np.min_scalar_type(top - 1)
+    table = _Table(
+        radix, base, alphas.astype(code), binom, betas[order].astype(code), width,
+        (iu, ju), index.T[order],
+        None if np.all(size == width) else size[order].astype(np.uint8),
+        None if scale is None else scale.T[order],
+        None if rest is None else rest[order],
+    )
+    for arr in (*table, *table.upper):
+        if isinstance(arr, np.ndarray):
+            arr.flags.writeable = False
+    return table
 
 
-@lru_cache(maxsize=None)
-def _hessian_ranks(n: int, d: int):
-    """Where the Hessians of the (d-2)-fold derivatives sit in the
-    coefficient vector of a degree-d multiaffine polynomial.
+def _lorentzian(g: np.ndarray, table: _Table, tol: float, label, exchange, pair) -> Verdict:
+    """The Lorentzian certificate of coefficients g in table order, with
+    the trailing zero where the table reads it. ``label`` names an
+    exponent code in a witness, ``exchange`` checks the support given as
+    a mask over the table's exponents, and ``pair`` names the two members
+    of its witness.
 
-    Row r is the r-th (d-2)-subset S in ``itertools.combinations`` order;
-    column p is the p-th pair i < j of S's complement, in
-    ``np.triu_indices`` order; the entry is the colex rank of S + {i, j},
-    rank(U) = sum_k C(u_k, k+1) over the sorted elements of U. uint16
-    holds every rank, since C(16, 8) = 12870. Built block by block.
-    Returns (ranks, upper-triangle indices).
+    The Hessians go in row order and block by block, each matrix size in
+    a block through one stacked eigensolve, and the first block that
+    holds a failure ends the scan. When every coefficient clears tol the
+    support is the whole family: the uniform matroid, or the full capped
+    box, which is M-convex. Only a support with some coefficient within
+    tol goes through ``exchange``.
     """
-    m = n - d + 2
-    upper = np.triu_indices(m, 1)
-    pairs = upper[0].size
-    binom = np.array([[math.comb(x, k) for k in range(1, d + 1)] for x in range(n)])
-    ranks = np.empty((math.comb(n, d - 2), pairs), dtype=np.uint16)
-    combos = itertools.combinations(range(n), d - 2)
-    rows = max(1, _HESSIAN_BLOCK_ENTRIES // (pairs * d))
-    for lo in range(0, ranks.shape[0], rows):
-        chunk = list(itertools.islice(combos, rows))
-        S = np.array(chunk, dtype=np.intp).reshape(len(chunk), d - 2)
-        free = np.ones((S.shape[0], n), dtype=bool)
-        np.put_along_axis(free, S, False, axis=1)
-        rest = np.nonzero(free)[1].reshape(-1, m)
-        U = np.concatenate(
-            [
-                np.repeat(S[:, None, :], pairs, axis=1),
-                rest[:, upper[0], None],
-                rest[:, upper[1], None],
-            ],
-            axis=2,
+    coeffs = g[: table.codes.size]
+    worst = int(np.argmin(coeffs))
+    if coeffs[worst] < -tol:
+        return Verdict(
+            VerdictStatus.REJECTED,
+            {"kind": "negative_coefficient", **label(table.codes[worst]), "value": float(coeffs[worst])},
+            tol,
         )
-        U.sort(axis=2)
-        ranks[lo : lo + S.shape[0]] = binom[U, np.arange(d)].sum(axis=2)
-    for table in (ranks, *upper):
-        table.flags.writeable = False
-    return ranks, upper
+    iu, ju = table.upper
+    width = table.width
+    step = max(1, _HESSIAN_BLOCK_ENTRIES // max(1, width * width))
+    all_strict = True
+    for lo in range(0, table.index.shape[0], step):
+        block = slice(lo, lo + step)
+        vals = g[table.index[block]]
+        if table.scale is not None:
+            vals *= table.scale[block]
+        H = np.zeros((vals.shape[0], width, width))
+        H[:, iu, ju] = vals
+        H[:, ju, iu] = vals
+        # rows of lifted spectra: eig(Q_beta), then the within-block part;
+        # with no within-block part every Q_beta is width x width
+        w = np.empty((vals.shape[0], width)) if table.rest is None else -g[table.rest[block]]
+        sizes = None if table.size is None else table.size[block]
+        for k in [width] if sizes is None else sorted(set(sizes.tolist())):
+            rows = slice(None) if sizes is None else sizes == k
+            # Q_beta is the trailing k x k block
+            w[rows, :k] = _checked_eigh(H[rows, width - k :, width - k :])[0]
+        if table.rest is not None:
+            w.sort(axis=1)
+        fail, strict = _signatures(w, tol)
+        if fail.any():
+            r = int(np.argmax(fail))
+            return Verdict(
+                VerdictStatus.REJECTED,
+                {"kind": "hessian_signature", **label(table.betas[lo + r]), "eigenvalues": w[r, ::-1].tolist()},
+                tol,
+            )
+        all_strict = all_strict and bool(strict.all())
+    live = coeffs > tol
+    if live.all():
+        status = VerdictStatus.STRICT_INTERIOR if all_strict else VerdictStatus.BOUNDARY_WITHIN_TOL
+        return Verdict(status, None, tol)
+    if not live.any():
+        return Verdict(VerdictStatus.REJECTED, {"kind": "empty_support"}, tol)
+    check = exchange(live)
+    if check:
+        return Verdict(VerdictStatus.BOUNDARY_WITHIN_TOL, None, tol)
+    a, b, i = check.witness
+    witness = {"kind": "support_exchange", pair[0]: list(a), pair[1]: list(b), "element": int(i)}
+    return Verdict(VerdictStatus.REJECTED, witness, tol)
 
 
 def _check_normalized(f) -> None:
@@ -232,141 +325,17 @@ def certify_multiaffine(f: MultiAffinePoly, tol: float = DEFAULT_TOL) -> Verdict
     requires the support {c > tol} to satisfy basis exchange, since the
     eigenvalue conditions alone admit false positives at zero
     coefficients. When every coefficient clears tol the support is the
-    uniform matroid, and the exchange check is skipped.
+    uniform matroid, and the exchange check is skipped. This is
+    ``certify_hom`` at kappa = 1^n, with witnesses that name subsets.
     """
     _check_normalized(f)
-    n, d = f.n, f.d
-    coeffs = f.coeffs
-    worst_idx = int(np.argmin(coeffs))
-    if coeffs[worst_idx] < -tol:
-        return Verdict(
-            VerdictStatus.REJECTED,
-            {
-                "kind": "negative_coefficient",
-                "subset": list(f.basis.unrank(worst_idx)),
-                "value": float(coeffs[worst_idx]),
-            },
-            tol,
-        )
-    strict_coeffs = bool(np.all(coeffs > tol))
-    all_strict_signature = True
-    if d >= 2:
-        ranks, (iu, ju) = _hessian_ranks(n, d)
-        m = n - d + 2
-        step = max(1, _HESSIAN_BLOCK_ENTRIES // (m * m))
-        for lo in range(0, ranks.shape[0], step):
-            vals = coeffs[ranks[lo : lo + step]]
-            H = np.zeros((vals.shape[0], m, m))
-            H[:, iu, ju] = vals
-            H[:, ju, iu] = vals
-            w, _ = _checked_eigh(H)
-            fail, strict = _signatures(w, tol)
-            if fail.any():
-                k = int(np.argmax(fail))
-                s = next(itertools.islice(itertools.combinations(range(n), d - 2), lo + k, None))
-                return Verdict(
-                    VerdictStatus.REJECTED,
-                    {
-                        "kind": "hessian_signature",
-                        "subset": list(s),
-                        "eigenvalues": w[k, ::-1].tolist(),
-                    },
-                    tol,
-                )
-            all_strict_signature = all_strict_signature and bool(strict.all())
-    return _settle(strict_coeffs, all_strict_signature, lambda: _basis_exchange(f, tol), tol)
-
-
-def _basis_exchange(f: MultiAffinePoly, tol: float):
-    """Rejection witness of the support {c > tol} of f, or None when it
-    satisfies basis exchange."""
-    support = tuple(s for s, c in zip(f.basis.subsets, f.coeffs) if c > tol)
-    if not support:
-        return {"kind": "empty_support"}
-    check = is_matroid_bases(BasisFamily(f.n, f.d, support))
-    if check:
-        return None
-    b1, b2, x = check.witness
-    return {"kind": "support_exchange", "basis_one": list(b1), "basis_two": list(b2), "element": int(x)}
-
-
-def _settle(strict_coeffs: bool, strict_signature: bool, exchange, tol: float) -> Verdict:
-    """Verdict of a Lorentzian certificate in which no Hessian failed.
-
-    When every coefficient clears tol, the support is the whole family:
-    the uniform matroid, or the full capped box, which is M-convex. So
-    only a support with some coefficient within tol goes through
-    ``exchange``, which returns a rejection witness or None.
-    """
-    if strict_coeffs:
-        status = VerdictStatus.STRICT_INTERIOR if strict_signature else VerdictStatus.BOUNDARY_WITHIN_TOL
-        return Verdict(status, None, tol)
-    witness = exchange()
-    if witness is not None:
-        return Verdict(VerdictStatus.REJECTED, witness, tol)
-    return Verdict(VerdictStatus.BOUNDARY_WITHIN_TOL, None, tol)
-
-
-@lru_cache(maxsize=64)
-def _quotient_tables(n: int, d: int, kappa: tuple):
-    """Where the block-quotient Hessians of a capped polynomial sit in its
-    vector g over the exponents ``compositions(d, n, kappa)``, with one
-    zero appended at the end for exponents past the caps.
-
-    The lift gives every lifted subset of composition alpha the
-    coefficient g(alpha) = c_alpha / prod_i C(kappa_i, alpha_i). The
-    lifted Hessian at a (d-2)-subset of composition beta is constant on
-    the blocks. With m_i = kappa_i - beta_i free variables in block i, it
-    acts on vectors constant on each block as Q_beta, over the i with
-    m_i > 0: Q_ij = sqrt(m_i m_j) g(beta + e_i + e_j) off the diagonal and
-    Q_ii = (m_i - 1) g(beta + 2 e_i). On vectors that sum to zero inside
-    block i it is -g(beta + 2 e_i), m_i - 1 times. So a row of the lifted
-    spectrum, of length sum(kappa) - d + 2, is eig(Q_beta) plus these.
-
-    The betas run in descending lexicographic order, the order in which
-    ``itertools.combinations`` first meets each composition on the lifted
-    variables. Returns (exponents, binomials (N, n), betas, groups), one
-    group per size k of Q: (rows into betas, Q indices (B, k, k), Q scales
-    (B, k, k), indices of the within-block eigenvalues (B, rest)).
-    """
-    comps = tuple(compositions(d, n, kappa))
-    where = {alpha: r for r, alpha in enumerate(comps)}
-    past = len(comps)
-    binom = np.array(
-        [[math.comb(k, a) for a, k in zip(alpha, kappa)] for alpha in comps], dtype=float
-    ).reshape(past, n)
-    betas = tuple(compositions(d - 2, n, kappa))[::-1] if d >= 2 else ()
-    length = sum(kappa) - d + 2
-    grouped = {}
-    for r, beta in enumerate(betas):
-        free = [i for i in range(n) if beta[i] < kappa[i]]
-        m = [kappa[i] - beta[i] for i in free]
-
-        def at(i, j):
-            alpha = list(beta)
-            alpha[i] += 1
-            alpha[j] += 1
-            return where.get(tuple(alpha), past)
-
-        rows, idx, scale, rest = grouped.setdefault(len(free), ([], [], [], []))
-        rows.append(r)
-        idx.append([[at(i, j) for j in free] for i in free])
-        scale.append([[math.sqrt(a * b) if p != q else a - 1 for q, b in enumerate(m)] for p, a in enumerate(m)])
-        rest.append([at(i, i) for i, a in zip(free, m) for _ in range(a - 1)])
-    groups = []
-    for k, (rows, idx, scale, rest) in sorted(grouped.items()):
-        B = len(rows)
-        groups.append(
-            (
-                np.array(rows, dtype=np.intp),
-                np.array(idx, dtype=np.int32).reshape(B, k, k),
-                np.array(scale, dtype=float).reshape(B, k, k),
-                np.array(rest, dtype=np.int32).reshape(B, length - k),
-            )
-        )
-    for table in (binom, *(t for group in groups for t in group)):
-        table.flags.writeable = False
-    return comps, binom, betas, tuple(groups)
+    table = _table(f.n, f.d, (1,) * f.n)
+    return _lorentzian(
+        f.coeffs, table, tol,
+        lambda code: {"subset": np.flatnonzero(_digits(table, code)).tolist()},
+        lambda live: is_matroid_bases(BasisFamily(f.n, f.d, itertools.compress(f.basis.subsets, live))),
+        ("basis_one", "basis_two"),
+    )
 
 
 def certify_hom(f: HomPoly, tol: float = DEFAULT_TOL) -> Verdict:
@@ -379,63 +348,38 @@ def certify_hom(f: HomPoly, tol: float = DEFAULT_TOL) -> Verdict:
     construction: the coefficient checks compare the lift's coefficients
     g(alpha) = c_alpha / prod_i C(kappa_i, alpha_i) with tol, and each
     lifted Hessian's spectrum comes from a block-quotient matrix of size
-    at most n (``_quotient_tables``), cut by the same trace norm. On the
-    boundary path the support {g > tol} goes through ``is_m_convex``,
-    which on capped exponents is basis exchange on the lifted support.
+    at most n (``_table``), cut by the same trace norm. On the boundary
+    path the support {g > tol} goes through ``is_m_convex``, which on
+    capped exponents is basis exchange on the lifted support.
 
     Witnesses name exponents: a negative coefficient's ``exponent`` is the
-    first smallest g in lexicographic order and its ``value`` is g; a
-    failing Hessian's ``exponent`` is the first failing beta in
-    descending lexicographic order, with the lifted spectrum descending;
-    a support exchange failure reports ``is_m_convex``'s (alpha, beta, i)
-    as ``exponent_one``, ``exponent_two`` and ``element``.
+    first smallest g in colex order and its ``value`` is g; a failing
+    Hessian's ``exponent`` is the first failing beta in descending
+    lexicographic order, with the lifted spectrum descending; a support
+    exchange failure reports ``is_m_convex``'s (alpha, beta, i) as
+    ``exponent_one``, ``exponent_two`` and ``element``.
     """
     _check_normalized(f)
-    n, d = f.n, f.d
-    comps, binom, betas, groups = _quotient_tables(n, d, f.kappa)
-    g = np.array([f.terms.get(alpha, 0.0) for alpha in comps])
-    # one division per variable, in the lift's order, so that g is the
-    # lift's coefficients to the last bit
-    for i in range(n):
-        g /= binom[:, i]
-    worst = int(np.argmin(g))
-    if g[worst] < -tol:
-        return Verdict(
-            VerdictStatus.REJECTED,
-            {"kind": "negative_coefficient", "exponent": list(comps[worst]), "value": float(g[worst])},
-            tol,
-        )
-    strict_coeffs = bool(np.all(g > tol))
-    padded = np.append(g, 0.0)
-    failures = []
-    all_strict_signature = True
-    for rows, idx, scale, rest in groups:
-        w, _ = _checked_eigh(padded[idx] * scale)
-        w = np.sort(np.concatenate([w, -padded[rest]], axis=1), axis=1)
-        fail, strict = _signatures(w, tol)
-        if fail.any():
-            k = int(np.argmax(fail))
-            failures.append((int(rows[k]), w[k, ::-1].tolist()))
-        all_strict_signature = all_strict_signature and bool(strict.all())
-    if failures:
-        r, eigenvalues = min(failures)
-        return Verdict(
-            VerdictStatus.REJECTED,
-            {"kind": "hessian_signature", "exponent": list(betas[r]), "eigenvalues": eigenvalues},
-            tol,
-        )
+    table = _table(f.n, f.d, f.kappa)
+    g = np.zeros(table.codes.size + 1)
+    alphas = np.fromiter(itertools.chain.from_iterable(f.terms), np.int64, len(f.terms) * f.n).reshape(-1, f.n)
+    g[np.searchsorted(table.codes, (alphas @ table.radix).astype(table.codes.dtype))] = list(f.terms.values())
+    if table.binom is not None:
+        # one division per variable, in the lift's order, so that g is the
+        # lift's coefficients to the last bit
+        for row in table.binom:
+            g[:-1] /= row
 
-    def exchange():
-        support = [alpha for alpha, v in zip(comps, g) if v > tol]
-        if not support:
-            return {"kind": "empty_support"}
-        check = is_m_convex(MConvexCandidate(n, d, support))
-        if check:
-            return None
-        a, b, i = check.witness
-        return {"kind": "support_exchange", "exponent_one": list(a), "exponent_two": list(b), "element": int(i)}
+    def exchange(live):
+        # handed over in lexicographic order: the candidate's set, and so
+        # the witness, can iterate in insertion order
+        support = sorted(map(tuple, _digits(table, table.codes[live]).tolist()))
+        return is_m_convex(MConvexCandidate(f.n, f.d, support))
 
-    return _settle(strict_coeffs, all_strict_signature, exchange, tol)
+    return _lorentzian(
+        g, table, tol, lambda code: {"exponent": _digits(table, code).tolist()}, exchange,
+        ("exponent_one", "exponent_two"),
+    )
 
 
 # root classes by the codes that _root_classes returns
@@ -494,20 +438,14 @@ def _root_classes(lines: np.ndarray, tol: float):
     return codes, dropped
 
 
-def _trimmed(coeffs) -> np.ndarray:
-    """One polynomial's coefficients without degenerate leading ones; its
-    degree must stay at least 1."""
+def hermite_matrix(coeffs) -> np.ndarray:
+    """Hankel matrix of root power sums. Positive definite iff all roots
+    are real and distinct; positive semidefinite iff all roots are real."""
     c = np.asarray(coeffs, dtype=float).reshape(1, -1)
     deg, _ = _trim_rows(c)
     if deg[0] < 1:
         raise ValueError("need degree at least 1")
-    return c[0, : deg[0] + 1]
-
-
-def hermite_matrix(coeffs) -> np.ndarray:
-    """Hankel matrix of root power sums. Positive definite iff all roots
-    are real and distinct; positive semidefinite iff all roots are real."""
-    return _hankel(_trimmed(coeffs)[None])[0]
+    return _hankel(c[:, : deg[0] + 1])[0]
 
 
 def real_rooted(coeffs, tol: float = DEFAULT_TOL) -> RootResult:
@@ -515,28 +453,6 @@ def real_rooted(coeffs, tol: float = DEFAULT_TOL) -> RootResult:
     Hankel matrix, with the tolerance scaled by its trace."""
     codes, dropped = _root_classes(np.asarray(coeffs, dtype=float).reshape(1, -1), tol)
     return RootResult(_ROOT_CLASSES[codes[0]], bool(dropped[0]))
-
-
-def discriminant(coeffs) -> float:
-    """Discriminant via the Sylvester resultant of the polynomial and its
-    derivative, with the sign convention that a quadratic a t^2 + b t + c
-    gets b^2 - 4 a c."""
-    c = _trimmed(coeffs)
-    m = c.size - 1
-    if m == 1:
-        return 1.0
-    dc = np.array([i * c[i] for i in range(1, m + 1)])
-    size = 2 * m - 1
-    S = np.zeros((size, size))
-    desc = c[::-1]
-    ddesc = dc[::-1]
-    for row in range(m - 1):
-        S[row, row : row + m + 1] = desc
-    for row in range(m):
-        S[m - 1 + row, row : row + m] = ddesc
-    res = float(np.linalg.det(S))
-    sign = -1.0 if (m * (m - 1) // 2) % 2 else 1.0
-    return sign * res / float(c[-1])
 
 
 @lru_cache(maxsize=16)

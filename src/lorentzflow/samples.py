@@ -3,8 +3,8 @@
 Products of linear forms with nonnegative coefficients are real stable,
 hence Lorentzian; in the multiaffine world the same holds for products of
 forms over disjoint variable groups. Everything here is built from those
-two facts, with certification filters where a construction is only
-usually a member (mixtures, coefficient surgery).
+two facts, with a certification filter where a construction is only
+usually a member (coefficient surgery).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import numpy as np
 from .certify import VerdictStatus, certify_multiaffine
 from .poly import HomPoly, MultiAffinePoly, SubsetBasis, normalize_at_ones
 from .sep import SpectralDecomposition, flow
-from .strata import BasisFamily, is_matroid_bases
 
 
 def random_form_product(n: int, d: int, rng) -> HomPoly:
@@ -62,27 +61,6 @@ def random_disjoint_form_product(basis: SubsetBasis, rng) -> MultiAffinePoly:
     return normalize_at_ones(MultiAffinePoly(basis, coeffs))
 
 
-def random_member_mixture(
-    basis: SubsetBasis,
-    rng,
-    parts: int = 2,
-    tol: float = 1e-9,
-    max_tries: int = 200,
-) -> MultiAffinePoly:
-    """Convex mixture of disjoint-group products that certifies as a
-    member; mixtures are not automatically members, so rejected draws are
-    discarded and retried."""
-    for _ in range(max_tries):
-        weights = rng.dirichlet(np.ones(parts))
-        mix = np.zeros(basis.size)
-        for w in weights:
-            mix += w * random_disjoint_form_product(basis, rng).coeffs
-        cand = MultiAffinePoly(basis, mix)
-        if certify_multiaffine(cand, tol).is_member:
-            return cand
-    raise RuntimeError(f"no certified mixture found in {max_tries} tries")
-
-
 def random_interior_member(
     basis: SubsetBasis,
     dec: SpectralDecomposition,
@@ -102,20 +80,14 @@ def zero_coefficient_boundary(
     f: MultiAffinePoly, index: int, tol: float = 1e-9
 ) -> MultiAffinePoly | None:
     """Push a member onto the boundary by zeroing one coefficient and
-    renormalizing. Returns None when the surgery leaves the space (support
-    no longer satisfies exchange, or the certificate rejects)."""
+    renormalizing. Returns None when the surgery leaves the space: the
+    certificate rejects, its exchange check on the zeroed support
+    included."""
     coeffs = f.coeffs.copy()
     if coeffs[index] <= 0.0:
         return None
     coeffs[index] = 0.0
     if coeffs.sum() <= 0.0:
-        return None
-    support = [
-        s for s, c in zip(f.basis.subsets, coeffs) if c > tol * coeffs.max()
-    ]
-    if not support:
-        return None
-    if not is_matroid_bases(BasisFamily(f.n, f.d, support)):
         return None
     cand = normalize_at_ones(MultiAffinePoly(f.basis, coeffs))
     verdict = certify_multiaffine(cand, tol)

@@ -18,7 +18,6 @@ from lorentzflow.certify import (
     DEFAULT_TOL,
     RootClass,
     RootResult,
-    SignatureClass,
     Verdict,
     VerdictStatus,
 )
@@ -26,6 +25,9 @@ from lorentzflow.poly import MultiAffinePoly, hessian_quadratic
 from lorentzflow.strata import BasisFamily, is_matroid_bases
 
 _DEGENERATE_LEAD = 1e-14
+
+# signature classes of one Hessian
+STRICT, AT_MOST_ONE_POSITIVE, FAIL = "strict", "at_most_one_positive", "fail"
 
 
 def sample_sphere_reference(n, count, seed):
@@ -113,10 +115,10 @@ def lorentzian_signature_reference(H, tol=DEFAULT_TOL):
     eff = tol * max(1.0, float(np.sum(np.abs(w))))
     n_pos = int(np.count_nonzero(w > eff))
     if n_pos >= 2:
-        return SignatureClass.FAIL, w
+        return FAIL, w
     if n_pos == 1 and int(np.count_nonzero(w < -eff)) == w.size - 1:
-        return SignatureClass.STRICT, w
-    return SignatureClass.AT_MOST_ONE_POSITIVE, w
+        return STRICT, w
+    return AT_MOST_ONE_POSITIVE, w
 
 
 def certify_multiaffine_reference(f, tol=DEFAULT_TOL):
@@ -139,14 +141,14 @@ def certify_multiaffine_reference(f, tol=DEFAULT_TOL):
             label, eigs = lorentzian_signature_reference(
                 hessian_quadratic(f.derivative(s), rest), tol
             )
-            if label is SignatureClass.FAIL:
+            if label is FAIL:
                 return Verdict(
                     VerdictStatus.REJECTED,
                     {"kind": "hessian_signature", "subset": list(s),
                      "eigenvalues": [float(x) for x in eigs]},
                     tol,
                 )
-            all_strict = all_strict and label is SignatureClass.STRICT
+            all_strict = all_strict and label is STRICT
     if strict_coeffs and all_strict:
         return Verdict(VerdictStatus.STRICT_INTERIOR, None, tol)
     support = tuple(s for s, c in zip(f.basis.subsets, coeffs) if c > tol)

@@ -16,10 +16,10 @@ from lorentzflow.ballmap import (
 from lorentzflow.certify import VerdictStatus, certify_multiaffine
 from lorentzflow.poly import HomPoly, MultiAffinePoly, normalize_at_ones, subset_basis
 from lorentzflow.polarization import stable_center
-from lorentzflow.samples import random_member_mixture
 from lorentzflow.sep import centered_norm, equilibrium, flow, uniform_decomposition
 
 from flow_helpers import contractive_flow_check
+from mixtures import random_member_mixture
 
 
 @pytest.fixture(scope="module")

@@ -188,6 +188,43 @@ class TestAgainstReference:
         assert position >= C._DIRECTION_BLOCK
 
 
+class TestOneEngine:
+    """``certify_multiaffine`` is ``certify_hom`` at kappa = 1^n."""
+
+    def test_unit_caps_match_the_multiaffine_certificate(self, corpus):
+        for name, f in corpus.items():
+            if isinstance(f, HomPoly):
+                continue
+            got, want = certify_hom(f.to_hom()), certify_multiaffine(f)
+            assert got.status is want.status, name
+            if want.witness is None:
+                continue
+            assert got.witness["kind"] == want.witness["kind"], name
+            if "subset" in want.witness:
+                assert got.witness["exponent"] == [int(i in want.witness["subset"]) for i in range(f.n)]
+                for key in ("value", "eigenvalues"):
+                    assert got.witness.get(key) == want.witness.get(key), (name, key)
+
+    def test_capped_rejection_stops_at_its_block(self, monkeypatch):
+        # the first (d-2)-subset, (0, ..., 5), is the only failing one
+        n, d = 16, 8
+        f = _hessian_fail(n, d, [0.7, 0.3], [10, 11, 12, 13, 0, 1, 2, 3, 4, 5])
+        real = C._checked_eigh
+        for certify, g in [(certify_multiaffine, f), (certify_hom, f.to_hom())]:
+            solved = []
+
+            def counting(H, _solved=solved):
+                _solved.append(H.shape[0])
+                return real(H)
+
+            monkeypatch.setattr(C, "_checked_eigh", counting)
+            got = certify(g)
+            assert got.witness["kind"] == "hessian_signature"
+            assert got.witness.get("subset", got.witness.get("exponent")) in ([0, 1, 2, 3, 4, 5], [1] * 6 + [0] * 10)
+            m = n - d + 2
+            assert sum(solved) <= C._HESSIAN_BLOCK_ENTRIES // (m * m), certify.__name__
+
+
 class TestRestrictLines:
     @pytest.mark.parametrize("n, d", [(3, 0), (4, 1), (6, 3), (10, 5)])
     def test_multiaffine_matches_reference(self, n, d):

@@ -19,7 +19,7 @@ from lorentzflow import io as pio
 from lorentzflow.ballmap import capped_lorentzian_oracle, escape_time
 from lorentzflow.certify import VerdictStatus, certify_hom, certify_multiaffine
 from lorentzflow.polarization import PolarizationPlan, polarize_up, polarized_flow
-from lorentzflow.poly import HomPoly, compositions, hessian_quadratic
+from lorentzflow.poly import HomPoly, MultiAffinePoly, compositions, hessian_quadratic, subset_basis
 from lorentzflow.samples import random_form_product
 from lorentzflow.strata import BasisFamily, MConvexCandidate, is_m_convex, is_matroid_bases
 
@@ -96,17 +96,18 @@ def _g(f, alpha):
 def _native_rows(f):
     """Per beta in the certificate's order: the ascending spectrum rebuilt
     from the block-quotient matrix and the within-block eigenvalues."""
-    comps, binom, betas, groups = C._quotient_tables(f.n, f.d, f.kappa)
-    g = np.array([f.terms.get(a, 0.0) for a in comps])
-    for i in range(f.n):
-        g /= binom[:, i]
-    padded = np.append(g, 0.0)
+    table = C._table(f.n, f.d, f.kappa)
+    g = np.array([_g(f, tuple(a)) for a in C._digits(table, table.codes).tolist()] + [0.0])
+    iu, ju = table.upper
     rows = {}
-    for idx_rows, idx, scale, rest in groups:
-        w = np.linalg.eigvalsh(padded[idx] * scale)
-        w = np.sort(np.concatenate([w, -padded[rest]], axis=1), axis=1)
-        for r, row in zip(idx_rows, w):
-            rows[betas[r]] = row
+    for r, beta in enumerate(C._digits(table, table.betas).tolist()):
+        k = table.width if table.size is None else int(table.size[r])
+        Q = np.zeros((table.width, table.width))
+        Q[iu, ju] = Q[ju, iu] = g[table.index[r]] * (1.0 if table.scale is None else table.scale[r])
+        w = np.linalg.eigvalsh(Q[table.width - k :, table.width - k :])
+        if table.rest is not None:
+            w = np.concatenate([w, -g[table.rest[r, k:]]])
+        rows[tuple(beta)] = np.sort(w)
     return rows
 
 
@@ -161,6 +162,36 @@ class TestAgainstLift:
                 scale = max(1e-300, float(np.abs(want).sum()))
                 assert row.shape == want.shape == (sum(f.kappa) - f.d + 2,)
                 assert np.max(np.abs(row - want)) <= 1e-12 * scale
+
+
+class TestOneEngine:
+    def test_negative_coefficient_ties_name_the_first_in_colex_order(self):
+        # two equal smallest coefficients each: colex order puts (1, 1, 0)
+        # before (0, 1, 1), and the subset (1, 2) before (0, 3)
+        capped = HomPoly(3, 2, (2, 2, 2), {(1, 1, 0): -0.1, (0, 1, 1): -0.1, (2, 0, 0): 0.6, (0, 0, 2): 0.6})
+        assert certify_hom(capped).witness == {
+            "kind": "negative_coefficient", "exponent": [1, 1, 0], "value": -0.1 / 4}
+        basis = subset_basis(4, 2)
+        coeffs = np.full(basis.size, 0.3)
+        coeffs[basis.rank((1, 2))] = coeffs[basis.rank((0, 3))] = -0.1
+        f = MultiAffinePoly(basis, coeffs)
+        assert certify_multiaffine(f).witness == {"kind": "negative_coefficient", "subset": [1, 2], "value": -0.1}
+        assert certify_hom(f.to_hom()).witness["exponent"] == [0, 1, 1, 0]
+
+    def test_codes_past_uint32(self):
+        # 5^16 exponent codes at kappa_i = 4, d = 4 need 64 bits
+        kappa = (4,) * 16
+        f = HomPoly(16, 4, kappa, _uniform_point(kappa, 4))
+        assert C._table(16, 4, kappa).codes.dtype == np.uint64
+        assert certify_hom(f).status is VerdictStatus.STRICT_INTERIOR
+        alpha = (0,) * 13 + (1, 0, 3)
+        g = _normalized(kappa, 4, {**f.terms, alpha: -1e-3})
+        assert certify_hom(g).witness["exponent"] == list(alpha)
+
+    def test_codes_past_int64_are_refused(self):
+        # 17^16 exponent codes at kappa_i = d = 16
+        with pytest.raises(ValueError, match="int64"):
+            C._table(16, 16, (16,) * 16)
 
 
 class TestMConvexAgainstLiftedExchange:

@@ -10,17 +10,15 @@ import pytest
 
 from lorentzflow.certify import (
     RootClass,
-    SignatureClass,
     VerdictStatus,
+    _checked_eigh,
+    _signatures,
     certify_hom,
     certify_multiaffine,
     certify_stable,
-    discriminant,
     hermite_matrix,
-    lorentzian_signature,
     real_rooted,
     sample_sphere_sumzero,
-    symmetric_eigen,
 )
 from lorentzflow.poly import (
     HomPoly,
@@ -34,19 +32,33 @@ from lorentzflow.polarization import stable_center
 from lorentzflow.samples import random_form_product
 
 
+def _eigen(H):
+    """Ascending eigenvalues and eigenvectors of one symmetric matrix,
+    through the stacked kernel with its invariant checks."""
+    w, V = _checked_eigh(np.asarray(H, dtype=float)[None])
+    return w[0], V[0]
+
+
+def _signature(H, tol=1e-9):
+    """Signature class of one symmetric matrix, and its eigenvalues."""
+    w, _ = _eigen(H)
+    fail, strict = _signatures(w[None], tol)
+    label = "fail" if fail[0] else "strict" if strict[0] else "at_most_one_positive"
+    return label, w
+
+
 class TestSymmetricEigen:
     def test_swap(self):
-        spectrum = symmetric_eigen([[0.0, 1.0], [1.0, 0.0]])
-        assert np.allclose(spectrum.eigenvalues, [1.0, -1.0])
+        w, _ = _eigen([[0.0, 1.0], [1.0, 0.0]])
+        assert np.allclose(w, [-1.0, 1.0])
 
     def test_flat_minus_identity(self):
-        H = np.ones((3, 3)) - np.eye(3)
-        spectrum = symmetric_eigen(H)
-        assert np.allclose(spectrum.eigenvalues, [2.0, -1.0, -1.0], atol=1e-12)
+        w, _ = _eigen(np.ones((3, 3)) - np.eye(3))
+        assert np.allclose(w, [-1.0, -1.0, 2.0], atol=1e-12)
 
     def test_identity(self):
-        spectrum = symmetric_eigen(np.eye(4))
-        assert np.allclose(spectrum.eigenvalues, 1.0)
+        w, _ = _eigen(np.eye(4))
+        assert np.allclose(w, 1.0)
 
     def test_invariants_on_random_matrices(self):
         rng = np.random.default_rng(51)
@@ -54,38 +66,34 @@ class TestSymmetricEigen:
             m = int(rng.integers(2, 8))
             A = rng.standard_normal((m, m))
             H = A + A.T
-            spectrum = symmetric_eigen(H)
-            recon = (spectrum.vectors * spectrum.eigenvalues) @ spectrum.vectors.T
+            w, V = _eigen(H)
+            recon = (V * w) @ V.T
             assert np.linalg.norm(recon - H) <= 1e-9 * max(1.0, np.linalg.norm(H))
-            assert np.linalg.norm(spectrum.vectors.T @ spectrum.vectors - np.eye(m)) <= 1e-10 * m
-            assert np.all(np.diff(spectrum.eigenvalues) <= 1e-12)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            symmetric_eigen([[0.0, 1.0], [0.5, 0.0]])
+            assert np.linalg.norm(V.T @ V - np.eye(m)) <= 1e-10 * m
+            assert np.all(np.diff(w) >= -1e-12)
 
 
 class TestSignature:
     def test_elementary_hessian_is_strict(self):
         H = hessian_quadratic(elementary_symmetric(3, 2))
-        label, eigs = lorentzian_signature(H)
-        assert label is SignatureClass.STRICT
+        label, eigs = _signature(H)
+        assert label == "strict"
         assert np.allclose(sorted(eigs), [-1, -1, 2])
 
     def test_boundary_matrix(self):
         H = np.array([[0, 0.5, 0.5], [0.5, 0, 0], [0.5, 0, 0]])
-        label, eigs = lorentzian_signature(H)
-        assert label is SignatureClass.AT_MOST_ONE_POSITIVE
+        label, eigs = _signature(H)
+        assert label == "at_most_one_positive"
         r = 1 / math.sqrt(2)
         assert np.allclose(sorted(eigs), [-r, 0.0, r], atol=1e-12)
 
     def test_two_positive_fails(self):
-        label, _ = lorentzian_signature(np.eye(2))
-        assert label is SignatureClass.FAIL
+        label, _ = _signature(np.eye(2))
+        assert label == "fail"
 
     def test_zero_matrix_within_tolerance(self):
-        label, _ = lorentzian_signature(np.zeros((3, 3)))
-        assert label is SignatureClass.AT_MOST_ONE_POSITIVE
+        label, _ = _signature(np.zeros((3, 3)))
+        assert label == "at_most_one_positive"
 
 
 class TestCertifyMultiaffine:
@@ -143,7 +151,8 @@ class TestCertifyMultiaffine:
                 for y_small in sample_sphere_sumzero(len(live), n_dirs, seed):
                     y = np.zeros(f.n)
                     y[live] = y_small
-                    worst = min(worst, discriminant(q.restrict_line(y)[: 3]))
+                    c = q.restrict_line(y)
+                    worst = min(worst, c[1] ** 2 - 4 * c[2] * c[0])
             return worst
 
         coeffs = np.zeros(6)
@@ -258,29 +267,6 @@ class TestHermiteKernel:
             want = RootClass.ALL_REAL_DISTINCT if disc > 0 else RootClass.NOT_ALL_REAL
             assert real_rooted([d0, c1, b2, a3]).kind is want
             checked += 1
-
-
-class TestDiscriminant:
-    def test_quadratics(self):
-        assert discriminant([-1, 0, 1]) == pytest.approx(4.0)
-        assert discriminant([1, 0, 1]) == pytest.approx(-4.0)
-
-    def test_cubic_product(self):
-        # (t-1)(t-2)(t-3): squared root gaps give 1 * 4 * 1
-        assert discriminant([-6, 11, -6, 1]) == pytest.approx(4.0, rel=1e-9)
-
-    def test_matches_closed_form_quadratic(self):
-        rng = np.random.default_rng(55)
-        for _ in range(200):
-            c = rng.standard_normal(3)
-            if abs(c[2]) < 0.1:
-                continue
-            assert discriminant(c) == pytest.approx(
-                c[1] ** 2 - 4 * c[2] * c[0], rel=1e-9, abs=1e-9
-            )
-
-    def test_degree_one(self):
-        assert discriminant([3.0, 2.0]) == pytest.approx(1.0)
 
 
 class TestSphereSampler:

@@ -9,10 +9,11 @@ from lorentzflow.samples import (
     random_disjoint_form_product,
     random_form_product,
     random_interior_member,
-    random_member_mixture,
     zero_coefficient_boundary,
 )
 from lorentzflow.sep import uniform_decomposition
+
+from mixtures import random_member_mixture
 
 
 def test_form_products_are_members():

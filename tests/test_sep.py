@@ -326,7 +326,7 @@ class TestMembershipClosure:
 
     def test_lorentzian_members_survive_the_flow(self):
         from lorentzflow.certify import certify_multiaffine
-        from lorentzflow.samples import random_member_mixture
+        from mixtures import random_member_mixture
 
         rng = np.random.default_rng(36)
         basis = subset_basis(5, 2)

@@ -152,7 +152,7 @@ def test_certified_member_supports_pass_exchange():
     # satisfy basis exchange (and the exponent exchange through 0/1
     # vectors)
     from lorentzflow.certify import certify_multiaffine
-    from lorentzflow.samples import random_member_mixture
+    from mixtures import random_member_mixture
 
     rng = np.random.default_rng(81)
     for n, d in [(4, 2), (5, 2), (5, 3)]:
