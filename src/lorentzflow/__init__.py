@@ -55,7 +55,6 @@ from .certify import (
     certify_hom,
     certify_multiaffine,
     certify_stable,
-    hermite_matrix,
     real_rooted,
     sample_sphere_sumzero,
 )

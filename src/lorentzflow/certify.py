@@ -19,9 +19,9 @@ table per (n, d, kappa) says where every quotient matrix sits in the
 coefficient vector. The engine walks it in blocks, eigensolves each
 matrix size in a block with one stacked ``eigh``, and stops at the first
 block that holds a failure. The verdict is the lift's, and no lift is
-built. The exchange check runs only where it can fail: a support with
-every coefficient above tol is the uniform matroid, or the full capped
-box, which is M-convex.
+built. The exchange check, ``strata.exchange_violation``, runs only where
+it can fail: a support with every coefficient above tol is the uniform
+matroid, or the full capped box, which is M-convex.
 
 The stable certificate restricts f along a block of directions at once
 (``poly.restrict_lines``), runs the Newton power sums over all rows and
@@ -30,8 +30,8 @@ stopping at the first block that holds a failure. Every witness is the
 first failing item in the documented order: for the Lorentzian
 certificates, coefficients in colex order and derivatives in descending
 lexicographic order of their exponent (for multiaffine inputs, subsets in
-``itertools.combinations`` order); for the stable one, directions in
-seeded order.
+``itertools.combinations`` order), exchange violations in the order of
+``exchange_violation``; for the stable one, directions in seeded order.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .poly import HomPoly, MultiAffinePoly, restrict_lines
-from .strata import BasisFamily, MConvexCandidate, is_m_convex, is_matroid_bases
+from .strata import exchange_violation
 
 DEFAULT_TOL = 1e-9
 DEFAULT_DIRECTIONS = 256
@@ -241,26 +241,26 @@ def _table(n: int, d: int, kappa: tuple) -> _Table:
     return table
 
 
-def _lorentzian(g: np.ndarray, table: _Table, tol: float, label, exchange, pair) -> Verdict:
+def _lorentzian(g: np.ndarray, table: _Table, tol: float, keys, name) -> Verdict:
     """The Lorentzian certificate of coefficients g in table order, with
-    the trailing zero where the table reads it. ``label`` names an
-    exponent code in a witness, ``exchange`` checks the support given as
-    a mask over the table's exponents, and ``pair`` names the two members
-    of its witness.
+    the trailing zero where the table reads it. ``keys`` are the witness
+    keys of one exponent and of the two members of an exchange
+    violation, and ``name`` turns an exponent into its witness value.
 
     The Hessians go in row order and block by block, each matrix size in
     a block through one stacked eigensolve, and the first block that
     holds a failure ends the scan. When every coefficient clears tol the
     support is the whole family: the uniform matroid, or the full capped
     box, which is M-convex. Only a support with some coefficient within
-    tol goes through ``exchange``.
+    tol goes through ``exchange_violation``.
     """
     coeffs = g[: table.codes.size]
     worst = int(np.argmin(coeffs))
     if coeffs[worst] < -tol:
         return Verdict(
             VerdictStatus.REJECTED,
-            {"kind": "negative_coefficient", **label(table.codes[worst]), "value": float(coeffs[worst])},
+            {"kind": "negative_coefficient", keys[0]: name(_digits(table, table.codes[worst]).tolist()),
+             "value": float(coeffs[worst])},
             tol,
         )
     iu, ju = table.upper
@@ -290,7 +290,8 @@ def _lorentzian(g: np.ndarray, table: _Table, tol: float, label, exchange, pair)
             r = int(np.argmax(fail))
             return Verdict(
                 VerdictStatus.REJECTED,
-                {"kind": "hessian_signature", **label(table.betas[lo + r]), "eigenvalues": w[r, ::-1].tolist()},
+                {"kind": "hessian_signature", keys[0]: name(_digits(table, table.betas[lo + r]).tolist()),
+                 "eigenvalues": w[r, ::-1].tolist()},
                 tol,
             )
         all_strict = all_strict and bool(strict.all())
@@ -300,11 +301,11 @@ def _lorentzian(g: np.ndarray, table: _Table, tol: float, label, exchange, pair)
         return Verdict(status, None, tol)
     if not live.any():
         return Verdict(VerdictStatus.REJECTED, {"kind": "empty_support"}, tol)
-    check = exchange(live)
-    if check:
+    violation = exchange_violation(_digits(table, table.codes[live]))
+    if violation is None:
         return Verdict(VerdictStatus.BOUNDARY_WITHIN_TOL, None, tol)
-    a, b, i = check.witness
-    witness = {"kind": "support_exchange", pair[0]: list(a), pair[1]: list(b), "element": int(i)}
+    a, b, i = violation
+    witness = {"kind": "support_exchange", keys[1]: name(a), keys[2]: name(b), "element": i}
     return Verdict(VerdictStatus.REJECTED, witness, tol)
 
 
@@ -330,12 +331,8 @@ def certify_multiaffine(f: MultiAffinePoly, tol: float = DEFAULT_TOL) -> Verdict
     """
     _check_normalized(f)
     table = _table(f.n, f.d, (1,) * f.n)
-    return _lorentzian(
-        f.coeffs, table, tol,
-        lambda code: {"subset": np.flatnonzero(_digits(table, code)).tolist()},
-        lambda live: is_matroid_bases(BasisFamily(f.n, f.d, itertools.compress(f.basis.subsets, live))),
-        ("basis_one", "basis_two"),
-    )
+    return _lorentzian(f.coeffs, table, tol, ("subset", "basis_one", "basis_two"),
+                       lambda alpha: [i for i, a in enumerate(alpha) if a])
 
 
 def certify_hom(f: HomPoly, tol: float = DEFAULT_TOL) -> Verdict:
@@ -349,15 +346,15 @@ def certify_hom(f: HomPoly, tol: float = DEFAULT_TOL) -> Verdict:
     g(alpha) = c_alpha / prod_i C(kappa_i, alpha_i) with tol, and each
     lifted Hessian's spectrum comes from a block-quotient matrix of size
     at most n (``_table``), cut by the same trace norm. On the boundary
-    path the support {g > tol} goes through ``is_m_convex``, which on
-    capped exponents is basis exchange on the lifted support.
+    path the support {g > tol} goes through ``exchange_violation``, which
+    on capped exponents is basis exchange on the lifted support.
 
     Witnesses name exponents: a negative coefficient's ``exponent`` is the
     first smallest g in colex order and its ``value`` is g; a failing
     Hessian's ``exponent`` is the first failing beta in descending
     lexicographic order, with the lifted spectrum descending; a support
-    exchange failure reports ``is_m_convex``'s (alpha, beta, i) as
-    ``exponent_one``, ``exponent_two`` and ``element``.
+    exchange failure reports ``exchange_violation``'s first violating
+    (alpha, beta, i) as ``exponent_one``, ``exponent_two`` and ``element``.
     """
     _check_normalized(f)
     table = _table(f.n, f.d, f.kappa)
@@ -369,17 +366,7 @@ def certify_hom(f: HomPoly, tol: float = DEFAULT_TOL) -> Verdict:
         # lift's coefficients to the last bit
         for row in table.binom:
             g[:-1] /= row
-
-    def exchange(live):
-        # handed over in lexicographic order: the candidate's set, and so
-        # the witness, can iterate in insertion order
-        support = sorted(map(tuple, _digits(table, table.codes[live]).tolist()))
-        return is_m_convex(MConvexCandidate(f.n, f.d, support))
-
-    return _lorentzian(
-        g, table, tol, lambda code: {"exponent": _digits(table, code).tolist()}, exchange,
-        ("exponent_one", "exponent_two"),
-    )
+    return _lorentzian(g, table, tol, ("exponent", "exponent_one", "exponent_two"), list)
 
 
 # root classes by the codes that _root_classes returns
@@ -438,16 +425,6 @@ def _root_classes(lines: np.ndarray, tol: float):
     return codes, dropped
 
 
-def hermite_matrix(coeffs) -> np.ndarray:
-    """Hankel matrix of root power sums. Positive definite iff all roots
-    are real and distinct; positive semidefinite iff all roots are real."""
-    c = np.asarray(coeffs, dtype=float).reshape(1, -1)
-    deg, _ = _trim_rows(c)
-    if deg[0] < 1:
-        raise ValueError("need degree at least 1")
-    return _hankel(c[:, : deg[0] + 1])[0]
-
-
 def real_rooted(coeffs, tol: float = DEFAULT_TOL) -> RootResult:
     """Classify a univariate polynomial's roots through the power-sum
     Hankel matrix, with the tolerance scaled by its trace."""
@@ -481,13 +458,12 @@ def sample_sphere_sumzero(n: int, count: int, seed: int) -> np.ndarray:
 
 
 def _coefficient_items(f):
-    """Term labels and coefficient array, in the order witnesses report."""
+    """Coefficients in the order witnesses report (basis order, or
+    lexicographic for a capped f) and the exponent at a position."""
     if isinstance(f, MultiAffinePoly):
-        return f.basis.subsets, f.coeffs
-    if isinstance(f, HomPoly):
-        items = sorted(f.terms.items())
-        return [a for a, _ in items], np.array([c for _, c in items])
-    raise TypeError(f"unsupported polynomial type {type(f)!r}")
+        return f.coeffs, lambda k: [int(i in f.basis.subsets[k]) for i in range(f.n)]
+    items = sorted(f.terms.items())
+    return np.array([c for _, c in items]), lambda k: list(items[k][0])
 
 
 def certify_stable(
@@ -506,13 +482,13 @@ def certify_stable(
     roots and every coefficient clears the tolerance.
     """
     _check_normalized(f)
-    labels, values = _coefficient_items(f)
+    values, exponent = _coefficient_items(f)
     negative = np.flatnonzero(values < -tol)
     if negative.size:
         k = int(negative[0])
         return Verdict(
             VerdictStatus.REJECTED,
-            {"kind": "negative_coefficient", "exponent": list(labels[k]), "value": float(values[k])},
+            {"kind": "negative_coefficient", "exponent": exponent(k), "value": float(values[k])},
             tol,
         )
     strict_coeffs = bool(np.all(values > tol))

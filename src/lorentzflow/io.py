@@ -94,18 +94,13 @@ def verdict_to_obj(v: Verdict) -> dict:
 
 
 def stratum_report_to_obj(report: StratumReport) -> dict:
-    if report.kind == "matroid_bases":
-        support = sorted(list(b) for b in report.support.bases)
-    else:
-        support = sorted(list(a) for a in report.support.points)
-    witness = None
-    if report.check.witness is not None:
-        witness = [list(w) if isinstance(w, tuple) else w for w in report.check.witness]
+    members = report.support.bases if report.kind == "matroid_bases" else report.support.points
+    witness = None if report.check.ok else [list(w) if isinstance(w, tuple) else w for w in report.check.witness]
     # on 0/1 exponent vectors the exponent exchange and basis exchange
     # notions coincide, so one flag serves both report kinds
     return {
         "kind": report.kind,
-        "support": support,
+        "support": sorted(map(list, members)),
         "m_convex": report.check.ok,
         "witness": witness,
         "tol": report.tol,

@@ -1,13 +1,19 @@
-"""Discrete support checks: the exchange property for exponent sets on the
-discrete simplex, the basis-exchange property for set families, and
-classification of a polynomial's support into one of these strata.
-"""
+"""Discrete support checks: the exchange axiom on exponent sets, basis
+exchange as its 0/1 case (Murota, *Discrete Convex Analysis*, 2003, ch. 4)
+and the support strata of polynomials. One exact, vectorized kernel,
+``exchange_violation``, decides every exchange check of the package."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .poly import HomPoly, MultiAffinePoly
+
+# (alpha, beta) pairs the exchange kernel holds at once: memory linear in the set
+_EXCHANGE_BLOCK_PAIRS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -64,49 +70,78 @@ class BasisFamily:
         return f"BasisFamily(n={self.n}, d={self.d}, size={len(self.bases)})"
 
 
+def exchange_violation(points):
+    """The first violation (alpha, beta, i) of the exchange axiom in an
+    (m, n) array of nonnegative exponent rows of one degree, as tuples of
+    plain ints, or None if the rows are M-convex: for alpha, beta in the
+    set and every i with alpha_i > beta_i, some j with alpha_j < beta_j
+    keeps alpha - e_i + e_j in the set. Repeated rows count once.
+
+    Rows are coded sum_i alpha_i r_i with the set's maxima as caps, as in
+    ``certify._table``. Violations are ordered by alpha, then beta, in
+    ascending code order (colex; ``SubsetBasis`` order on 0/1 rows), then
+    i ascending. Codes past int64, which within 16 variables takes n = 16
+    and maxima near 16, are refused with a ``ValueError``. A pair violates
+    the axiom at i when U_t(beta) = {j : beta_j >= t} misses F_t[alpha, i]
+    at every level t: the j with alpha - e_i + e_j in the set and
+    alpha_j = t - 1, and i itself at t = alpha_i. All as bitmasks over j.
+    """
+    P = np.asarray(points, dtype=np.int64)
+    if P.ndim != 2 or P.shape[0] == 0:
+        raise ValueError("need a nonempty (m, n) array of exponent rows")
+    live = np.flatnonzero(P.max(axis=0))  # the other coordinates take no part
+    if live.size == 0:
+        return None
+    caps = P[:, live].max(axis=0)
+    if math.prod((caps + 1).tolist()) > np.iinfo(np.int64).max:
+        raise ValueError(f"exponent codes of maxima {caps.tolist()} do not fit in int64")
+    radix = np.cumprod(np.concatenate([[1], caps[:-1] + 1])).astype(np.int64)
+    codes, first = np.unique(P[:, live] @ radix, return_index=True)
+    A = P[first][:, live]
+    m, k = A.shape
+    bits = (1 << np.arange(k)).astype(np.min_scalar_type((1 << k) - 1))
+    levels = np.arange(1, int(caps.max()) + 1)[:, None]
+    U = ((A[:, None, :] >= levels) * bits).sum(axis=-1, dtype=bits.dtype)
+    F = np.empty((m, k, levels.size), dtype=bits.dtype)
+    for i in range(k):
+        target = codes[:, None] - radix[i] + radix
+        move = codes[np.minimum(np.searchsorted(codes, target), m - 1)] == target  # alpha itself at j = i
+        height = A + 1 - (np.arange(k) == i)  # a move past cap_j needs beta_j > cap_j
+        F[:, i] = ((move[:, None, :] & (height[:, None, :] == levels)) * bits).sum(axis=-1, dtype=bits.dtype)
+    F[A == 0, 0] = bits.sum(dtype=bits.dtype)  # every beta meets it: no violation at i
+    step = max(1, _EXCHANGE_BLOCK_PAIRS // m)
+    for lo in range(0, m, step):
+        block = F[lo : lo + step]
+        bad = np.zeros((block.shape[0], m), dtype=bool)
+        for i in range(k):
+            met = U[:, 0] & block[:, i, :1]
+            for t in range(1, levels.size):
+                met |= U[:, t] & block[:, i, t : t + 1]
+            bad |= met == 0
+        if bad.any():
+            a, b = divmod(int(np.argmax(bad)), m)
+            i = next(i for i in range(k) if not (U[b] & block[a, i]).any())
+            return tuple(P[first[lo + a]].tolist()), tuple(P[first[b]].tolist()), int(live[i])
+    return None
+
+
+def _result(violation, member=tuple) -> ExchangeResult:
+    if violation is None:
+        return ExchangeResult(True)
+    return ExchangeResult(False, (member(violation[0]), member(violation[1]), violation[2]))
+
+
 def is_m_convex(candidate: MConvexCandidate) -> ExchangeResult:
-    """Exchange check on exponent vectors: for alpha, beta in the set and
-    every i with alpha_i > beta_i there must be j with alpha_j < beta_j
-    such that alpha - e_i + e_j stays in the set. The witness on failure
-    is the violating (alpha, beta, i)."""
-    pts = candidate.points
-    if not pts:
-        raise ValueError("empty point set")
-    for alpha in pts:
-        for beta in pts:
-            for i in range(candidate.n):
-                if alpha[i] <= beta[i]:
-                    continue
-                found = False
-                for j in range(candidate.n):
-                    if alpha[j] < beta[j]:
-                        moved = list(alpha)
-                        moved[i] -= 1
-                        moved[j] += 1
-                        if tuple(moved) in pts:
-                            found = True
-                            break
-                if not found:
-                    return ExchangeResult(False, (alpha, beta, i))
-    return ExchangeResult(True)
+    """The exchange axiom on exponent vectors (``exchange_violation``)."""
+    return _result(exchange_violation(np.array(list(candidate.points)).reshape(-1, candidate.n)))
 
 
 def is_matroid_bases(family: BasisFamily) -> ExchangeResult:
     """Basis exchange: for B1, B2 in the family and every x in B1 - B2
-    there must be y in B2 - B1 with (B1 - {x}) + {y} in the family.
-    The witness on failure is the violating (B1, B2, x)."""
-    bases = family.bases
-    if not bases:
-        raise ValueError("empty basis family")
-    for b1 in bases:
-        s1 = set(b1)
-        for b2 in bases:
-            s2 = set(b2)
-            for x in s1 - s2:
-                rest = s1 - {x}
-                if not any(tuple(sorted(rest | {y})) in bases for y in s2 - s1):
-                    return ExchangeResult(False, (b1, b2, x))
-    return ExchangeResult(True)
+    some y in B2 - B1 has (B1 - {x}) + {y} in the family. This is the
+    exchange axiom on 0/1 exponents; the witness is its first (B1, B2, x)."""
+    rows = np.array([[int(i in b) for i in range(family.n)] for b in family.bases]).reshape(-1, family.n)
+    return _result(exchange_violation(rows), lambda alpha: tuple(i for i, a in enumerate(alpha) if a))
 
 
 @dataclass(frozen=True)
@@ -120,24 +155,17 @@ class StratumReport:
 
 
 def support_stratum(f, tol: float = 1e-12) -> StratumReport:
-    """Extract the support of ``f`` at relative tolerance ``tol`` and tag it
-    with the matching exchange verdict. Coefficients more negative than the
-    tolerance are a domain error (these strata only cover the nonnegative
-    cone)."""
-    if isinstance(f, MultiAffinePoly):
-        scale = max(abs(float(c)) for c in f.coeffs) if f.coeffs.size else 0.0
-        cut = tol * scale
-        for s, c in zip(f.basis.subsets, f.coeffs):
-            if c < -cut:
-                raise ValueError(f"negative coefficient {c} at subset {s}")
-        fam = BasisFamily(f.n, f.d, f.support(tol))
-        return StratumReport("matroid_bases", fam, is_matroid_bases(fam), tol)
-    if isinstance(f, HomPoly):
-        scale = max((abs(c) for c in f.terms.values()), default=0.0)
-        cut = tol * scale
-        for alpha, c in f.terms.items():
-            if c < -cut:
-                raise ValueError(f"negative coefficient {c} at exponent {alpha}")
-        cand = MConvexCandidate(f.n, f.d, f.support(tol))
-        return StratumReport("m_convex", cand, is_m_convex(cand), tol)
-    raise TypeError(f"unsupported polynomial type {type(f)!r}")
+    """The support of ``f`` at relative tolerance ``tol`` (a ``BasisFamily``
+    if ``f`` is multiaffine, else an ``MConvexCandidate``) and its exchange
+    verdict. A coefficient below -tol times the largest is a domain error."""
+    multiaffine = isinstance(f, MultiAffinePoly)
+    if not multiaffine and not isinstance(f, HomPoly):
+        raise TypeError(f"unsupported polynomial type {type(f)!r}")
+    terms = dict(zip(f.basis.subsets, f.coeffs.tolist())) if multiaffine else f.terms
+    cut = tol * max(map(abs, terms.values()), default=0.0)
+    for label, c in terms.items():
+        if c < -cut:
+            raise ValueError(f"negative coefficient {c} at {'subset' if multiaffine else 'exponent'} {label}")
+    support = (BasisFamily if multiaffine else MConvexCandidate)(f.n, f.d, f.support(tol))
+    check = is_matroid_bases(support) if multiaffine else is_m_convex(support)
+    return StratumReport("matroid_bases" if multiaffine else "m_convex", support, check, tol)

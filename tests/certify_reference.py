@@ -2,10 +2,15 @@
 
 These are the certificates as they ran one item at a time: the Lorentzian
 certificate loops over the (d-2)-subsets, differentiates, builds each
-Hessian with ``hessian_quadratic`` and eigensolves it alone; the stable
-certificate loops over the seeded directions, restricts f by repeated
-``np.convolve`` and classifies each line with its own Hankel matrix. The
-batched package code must reproduce their verdicts and witnesses.
+Hessian with ``hessian_quadratic`` and eigensolves it alone, and checks
+basis exchange pair by pair; the stable certificate loops over the seeded
+directions, restricts f by repeated ``np.convolve`` and classifies each
+line with its own Hankel matrix. The batched package code must reproduce
+their verdicts and witnesses. The two pair loops of the exchange axiom,
+``is_m_convex_reference`` and ``is_matroid_bases_reference``, are the
+oracle of the vectorized ``strata.exchange_violation``; their witnesses
+follow the iteration order of a frozenset, so only their verdicts are
+compared.
 """
 
 import itertools
@@ -22,7 +27,7 @@ from lorentzflow.certify import (
     VerdictStatus,
 )
 from lorentzflow.poly import MultiAffinePoly, hessian_quadratic
-from lorentzflow.strata import BasisFamily, is_matroid_bases
+from lorentzflow.strata import BasisFamily, ExchangeResult
 
 _DEGENERATE_LEAD = 1e-14
 
@@ -121,6 +126,51 @@ def lorentzian_signature_reference(H, tol=DEFAULT_TOL):
     return AT_MOST_ONE_POSITIVE, w
 
 
+def is_m_convex_reference(candidate):
+    """Exchange check on exponent vectors: for alpha, beta in the set and
+    every i with alpha_i > beta_i there must be j with alpha_j < beta_j
+    such that alpha - e_i + e_j stays in the set. The witness on failure
+    is the violating (alpha, beta, i)."""
+    pts = candidate.points
+    if not pts:
+        raise ValueError("empty point set")
+    for alpha in pts:
+        for beta in pts:
+            for i in range(candidate.n):
+                if alpha[i] <= beta[i]:
+                    continue
+                found = False
+                for j in range(candidate.n):
+                    if alpha[j] < beta[j]:
+                        moved = list(alpha)
+                        moved[i] -= 1
+                        moved[j] += 1
+                        if tuple(moved) in pts:
+                            found = True
+                            break
+                if not found:
+                    return ExchangeResult(False, (alpha, beta, i))
+    return ExchangeResult(True)
+
+
+def is_matroid_bases_reference(family):
+    """Basis exchange: for B1, B2 in the family and every x in B1 - B2
+    there must be y in B2 - B1 with (B1 - {x}) + {y} in the family.
+    The witness on failure is the violating (B1, B2, x)."""
+    bases = family.bases
+    if not bases:
+        raise ValueError("empty basis family")
+    for b1 in bases:
+        s1 = set(b1)
+        for b2 in bases:
+            s2 = set(b2)
+            for x in s1 - s2:
+                rest = s1 - {x}
+                if not any(tuple(sorted(rest | {y})) in bases for y in s2 - s1):
+                    return ExchangeResult(False, (b1, b2, x))
+    return ExchangeResult(True)
+
+
 def certify_multiaffine_reference(f, tol=DEFAULT_TOL):
     """Per-subset Lorentzian certificate for a normalized multiaffine f."""
     n, d = f.n, f.d
@@ -154,7 +204,7 @@ def certify_multiaffine_reference(f, tol=DEFAULT_TOL):
     support = tuple(s for s, c in zip(f.basis.subsets, coeffs) if c > tol)
     if not support:
         return Verdict(VerdictStatus.REJECTED, {"kind": "empty_support"}, tol)
-    check = is_matroid_bases(BasisFamily(n, d, support))
+    check = is_matroid_bases_reference(BasisFamily(n, d, support))
     if not check:
         b1, b2, x = check.witness
         return Verdict(
@@ -169,7 +219,7 @@ def certify_multiaffine_reference(f, tol=DEFAULT_TOL):
 def certify_stable_reference(f, directions=DEFAULT_DIRECTIONS, seed=DEFAULT_SEED, tol=DEFAULT_TOL):
     """Per-direction sampled stability certificate for a normalized f."""
     if isinstance(f, MultiAffinePoly):
-        items = [(list(s), float(c)) for s, c in zip(f.basis.subsets, f.coeffs)]
+        items = [([int(i in s) for i in range(f.n)], float(c)) for s, c in zip(f.basis.subsets, f.coeffs)]
     else:
         items = [(list(a), c) for a, c in sorted(f.terms.items())]
     for label, c in items:

@@ -224,14 +224,13 @@ class TestFullSupportShortcut:
 
     def _counted(self, monkeypatch):
         calls = []
-        for name in ("is_matroid_bases", "is_m_convex"):
-            real = getattr(C, name)
+        real = C.exchange_violation
 
-            def counting(*args, _real=real, **kwargs):
-                calls.append(args)
-                return _real(*args, **kwargs)
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
 
-            monkeypatch.setattr(C, name, counting)
+        monkeypatch.setattr(C, "exchange_violation", counting)
         return calls
 
     def test_capped(self, monkeypatch):

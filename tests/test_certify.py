@@ -12,11 +12,12 @@ from lorentzflow.certify import (
     RootClass,
     VerdictStatus,
     _checked_eigh,
+    _hankel,
     _signatures,
+    _trim_rows,
     certify_hom,
     certify_multiaffine,
     certify_stable,
-    hermite_matrix,
     real_rooted,
     sample_sphere_sumzero,
 )
@@ -30,6 +31,14 @@ from lorentzflow.poly import (
 )
 from lorentzflow.polarization import stable_center
 from lorentzflow.samples import random_form_product
+
+
+def hermite_matrix(coeffs):
+    """Hankel matrix of root power sums of one polynomial, trimmed of
+    degenerate leading coefficients, through the stacked kernel."""
+    c = np.asarray(coeffs, dtype=float).reshape(1, -1)
+    deg, _ = _trim_rows(c)
+    return _hankel(c[:, : deg[0] + 1])[0]
 
 
 def _eigen(H):
@@ -342,6 +351,15 @@ class TestCertifyStable:
         v = certify_stable(f)
         assert v.status is VerdictStatus.REJECTED
         assert v.witness["kind"] == "negative_coefficient"
+
+    def test_negative_multiaffine_coefficient_names_its_exponent(self):
+        # x0 x3 at n = 6: the witness is its 0/1 exponent, not the subset
+        basis = subset_basis(6, 2)
+        coeffs = np.full(basis.size, 0.1)
+        coeffs[basis.rank((0, 3))] = -0.5
+        f = normalize_at_ones(MultiAffinePoly(basis, coeffs))
+        assert certify_stable(f).witness == {
+            "kind": "negative_coefficient", "exponent": [1, 0, 0, 1, 0, 0], "value": f.coeffs[basis.rank((0, 3))]}
 
 
 class TestDerivativeIdentity:
