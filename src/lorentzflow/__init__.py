@@ -10,7 +10,6 @@ from .poly import (
     SubsetBasis,
     compositions,
     elementary_symmetric,
-    hessian_quadratic,
     normalize_at_ones,
     restrict_lines,
     subset_basis,

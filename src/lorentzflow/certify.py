@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .poly import HomPoly, MultiAffinePoly, restrict_lines
+from .poly import HomPoly, MultiAffinePoly, exponent_code, restrict_lines
 from .strata import exchange_violation
 
 DEFAULT_TOL = 1e-9
@@ -152,13 +152,11 @@ def _table(n: int, d: int, kappa: tuple) -> _Table:
     """Where the block-quotient Hessians of a capped polynomial sit in its
     coefficient vector g, built with no Python loop over exponents.
 
-    An exponent alpha has the mixed-radix code sum_i alpha_i r_i, with
-    r_0 = 1 and r_{i+1} = r_i (min(kappa_i, d) + 1). Sorted by code, the
-    degree-d exponents are in colex order, at kappa = 1^n the order of
-    ``SubsetBasis``; g follows that order, and a trailing zero stands for
-    every exponent past the caps. The code is additive, so every entry of
-    every Q_beta is found by one broadcast sum and one ``searchsorted``.
-    Caps whose codes overflow int64 are refused.
+    g follows the ascending order of ``poly.exponent_code``, which is
+    colex order, at kappa = 1^n the order of ``SubsetBasis``, and a
+    trailing zero stands for every exponent past the caps. The code is
+    additive, so every entry of every Q_beta is found by one broadcast sum
+    and one ``searchsorted``.
 
     The lift gives every lifted subset of composition alpha the
     coefficient g(alpha) = c_alpha / prod_i C(kappa_i, alpha_i). The
@@ -182,22 +180,10 @@ def _table(n: int, d: int, kappa: tuple) -> _Table:
     spectrum, and its first k entries, where eig(Q_beta) goes, read the
     trailing zero.
     """
-    caps = np.array(kappa, dtype=np.int64)
-    base = np.minimum(caps, d) + 1
+    radix, base, alphas, betas = exponent_code(kappa, d, d, d - 2)
     top = math.prod(base.tolist())
-    if top > np.iinfo(np.int64).max:
-        raise ValueError(f"exponent codes of caps {kappa} at degree {d} do not fit in int64")
-    radix = np.cumprod(np.concatenate([[1], base[:-1]])).astype(np.int64)
-    # every exponent of degree <= d; the new digit is the most significant
-    # and varies slowest, so the codes stay ascending
-    codes = sums = np.zeros(1, dtype=np.int64)
-    for b, r in zip(base.tolist(), radix.tolist()):
-        digit = np.arange(b, dtype=np.int64)[:, None]
-        codes, sums = (r * digit + codes).ravel(), (digit + sums).ravel()
-        codes, sums = codes[sums <= d], sums[sums <= d]
-    alphas, betas = codes[sums == d], codes[sums == d - 2]
     B = (betas[:, None] // radix) % base
-    m = caps - B
+    m = np.array(kappa, dtype=np.int64) - B
     size = (m > 0).sum(axis=1)
     width = int(size.max()) if betas.size else 0
     diagonal = bool((m > 1).any())

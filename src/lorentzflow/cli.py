@@ -27,7 +27,7 @@ from .certify import (
     certify_stable,
 )
 from .poly import HomPoly, MultiAffinePoly, compositions, normalize_at_ones, subset_basis
-from .polarization import PolarizationPlan, polarize_up, project_down
+from .polarization import PolarizationPlan, polarize_up, polarized_flow, project_down
 from .sep import (
     TranspositionRates,
     build_generator,
@@ -129,7 +129,6 @@ def _flow_rows_polarized(f, args):
         raise ValueError("--polarized flows use uniform rates on the lifted variables")
     if isinstance(f, MultiAffinePoly):
         f = f.to_hom()
-    plan = PolarizationPlan(f.n, f.d, f.kappa)
     oracle = (
         bm.stable_oracle(args.directions, args.seed, args.tol)
         if args.oracle == "stable"
@@ -138,7 +137,7 @@ def _flow_rows_polarized(f, args):
     alphas = sorted(compositions(f.d, f.n, caps=f.kappa))
     labels = ["_".join(str(a) for a in alpha) for alpha in alphas]
     rows = []
-    for sample in bm.trajectory(f, None, _parse_times(args.times), oracle, plan=plan):
+    for sample in bm.trajectory(f, None, _parse_times(args.times), oracle):
         rows.append(
             [sample.time]
             + [sample.poly.coefficient(alpha) for alpha in alphas]
@@ -208,11 +207,9 @@ def cmd_ballmap(args) -> int:
             raise ValueError("this space expects a multiaffine input")
         dec = uniform_decomposition(f.n, f.d)
         oracle = bm.multiaffine_lorentzian_oracle(args.tol)
-        plan = None
     else:
         if isinstance(f, MultiAffinePoly):
             f = f.to_hom()
-        plan = PolarizationPlan(f.n, f.d, f.kappa)
         dec = None
         if args.space == "stable":
             _announce_seed(args.seed)
@@ -220,9 +217,7 @@ def cmd_ballmap(args) -> int:
         else:
             oracle = bm.capped_lorentzian_oracle(args.tol)
     try:
-        result = bm.escape_time(
-            f, oracle, dec, s_max=args.s_max, tol=args.bisect_tol, plan=plan
-        )
+        result = bm.escape_time(f, oracle, dec, s_max=args.s_max, tol=args.bisect_tol)
     except bm.InfiniteEscape:
         _emit(pio.dumps({"infinite_escape": True, "space": args.space}), args.output)
         return 0
@@ -265,8 +260,6 @@ def cmd_sample(args) -> int:
         else:
             g = smp.random_form_product(args.n, args.d, rng)
             if args.interior > 0.0:
-                from .polarization import polarized_flow
-
                 g = polarized_flow(g, args.interior)
             check = certify_stable(g)
         if check.status is VerdictStatus.REJECTED:

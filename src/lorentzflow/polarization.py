@@ -12,7 +12,6 @@ symmetrizes within blocks.
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 
@@ -22,7 +21,9 @@ from .poly import (
     HomPoly,
     MultiAffinePoly,
     MAX_VARS,
+    _subset_table,
     compositions,
+    exponent_code,
     subset_basis,
 )
 from .sep import SpectralDecomposition, flow, uniform_decomposition
@@ -62,54 +63,61 @@ class PolarizationPlan:
         return f"PolarizationPlan(n={self.n}, d={self.d}, kappa={self.kappa})"
 
 
+@lru_cache(maxsize=32)
+def _lift(d: int, kappa: tuple):
+    """The exponent code of the caps at degree d (``exponent_code``), the
+    ascending codes of its degree-d exponents, their binomials
+    C(kappa_i, alpha_i) (n, N), and, for every lifted subset in colex
+    order, the position of its composition among those codes. A lifted
+    subset's composition counts its elements per block, so its code is
+    the sum of its elements' place values. All read-only."""
+    radix, base, codes = exponent_code(kappa, d, d)
+    alphas = (codes[:, None] // radix) % base
+    comb = np.array([[math.comb(k, a) for a in range(d + 1)] for k in kappa], dtype=float)
+    binom = np.take_along_axis(comb, alphas.T, axis=1)
+    index = np.searchsorted(codes, np.repeat(radix, kappa)[_subset_table(sum(kappa), d)].sum(axis=1))
+    for arr in (radix, alphas, codes, binom, index):
+        arr.flags.writeable = False
+    return radix, alphas, codes, binom, index
+
+
 def polarize_up(f: HomPoly, plan: PolarizationPlan | None = None) -> MultiAffinePoly:
     """Lift a capped polynomial to the multiaffine polynomial that is
-    symmetric within each block. Each term transports its coefficient,
-    split evenly, to every lifted subset that picks the term's exponent
-    from each block."""
+    symmetric within each block. Each term's coefficient, divided by
+    prod_i C(kappa_i, alpha_i) one variable at a time, goes to every
+    lifted subset that picks the term's exponent from each block: one
+    gather over the lifted basis."""
     if plan is None:
         plan = PolarizationPlan(f.n, f.d, f.kappa)
     if plan.n != f.n or plan.d != f.d:
         raise ValueError(f"plan {plan!r} does not match polynomial {f!r}")
-    basis = plan.lifted_basis
-    out = np.zeros(basis.size)
-    for alpha, c in f.terms.items():
-        if any(a > k for a, k in zip(alpha, plan.kappa)):
-            raise ValueError(f"exponent {alpha} exceeds caps {plan.kappa}")
-        weight = c
-        for a, k in zip(alpha, plan.kappa):
-            weight /= math.comb(k, a)
-        pools = [
-            itertools.combinations(block, a)
-            for block, a in zip(plan.blocks, alpha)
-            if a > 0
-        ]
-        for pick in itertools.product(*pools):
-            subset = tuple(sorted(itertools.chain.from_iterable(pick)))
-            out[basis.rank(subset)] += weight
-    return MultiAffinePoly(basis, out)
+    radix, _, codes, binom, index = _lift(plan.d, plan.kappa)
+    alphas = np.array(list(f.terms), dtype=np.int64).reshape(-1, f.n)
+    over = np.flatnonzero((alphas > plan.kappa).any(axis=1))
+    if over.size:
+        raise ValueError(f"exponent {tuple(alphas[over[0]].tolist())} exceeds caps {plan.kappa}")
+    g = np.zeros(codes.size)
+    g[np.searchsorted(codes, alphas @ radix)] = list(f.terms.values())
+    for row in binom:
+        g /= row
+    return MultiAffinePoly(plan.lifted_basis, g[index])
 
 
 def project_down(g: MultiAffinePoly, plan: PolarizationPlan) -> HomPoly:
     """Substitute every block variable back to its owner: the coefficient
     of a lifted subset lands on the exponent vector counting how many of
-    its elements each block contributed."""
+    its elements each block contributed. One ``np.bincount`` sums the
+    nonzero lifted coefficients per composition in basis order; the terms
+    come in the order of each composition's first nonzero subset."""
     if g.basis != plan.lifted_basis:
         raise ValueError(f"polynomial lives on {g.basis!r}, plan expects {plan.lifted_basis!r}")
-    block_of = {}
-    for bi, block in enumerate(plan.blocks):
-        for v in block:
-            block_of[v] = bi
-    terms: dict[tuple, float] = {}
-    for subset, c in zip(g.basis.subsets, g.coeffs):
-        if c == 0.0:
-            continue
-        alpha = [0] * plan.n
-        for v in subset:
-            alpha[block_of[v]] += 1
-        key = tuple(alpha)
-        terms[key] = terms.get(key, 0.0) + float(c)
-    return HomPoly(plan.n, plan.d, plan.kappa, terms)
+    _, alphas, codes, _, index = _lift(plan.d, plan.kappa)
+    live = np.flatnonzero(g.coeffs)
+    pos = index[live]
+    sums = np.bincount(pos, weights=g.coeffs[live], minlength=codes.size)
+    _, first = np.unique(pos, return_index=True)
+    order = pos[np.sort(first)]
+    return HomPoly(plan.n, plan.d, plan.kappa, dict(zip(map(tuple, alphas[order].tolist()), sums[order].tolist())))
 
 
 @lru_cache(maxsize=32)

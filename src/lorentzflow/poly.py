@@ -364,47 +364,30 @@ def restrict_lines(f, directions) -> np.ndarray:
     return out
 
 
-def hessian_quadratic(q, variables=None) -> np.ndarray:
-    """Symmetric matrix H with q(w) = (1/2) w^T H w for a quadratic q.
-
-    ``variables`` lists the variable indices the quadratic is considered in
-    (default: all of them); the support of q must stay inside that list.
-    """
-    if q.d != 2:
-        raise ValueError(f"need a homogeneous quadratic, got degree {q.d}")
-    if variables is None:
-        variables = list(range(q.n))
-    variables = list(variables)
-    pos = {v: k for k, v in enumerate(variables)}
-    m = len(variables)
-    H = np.zeros((m, m))
-    if isinstance(q, MultiAffinePoly):
-        items = (
-            (s, a) for s, a in zip(q.basis.subsets, q.coeffs) if a != 0.0
-        )
-        for subset, a in items:
-            i, j = subset
-            if i not in pos or j not in pos:
-                raise ValueError(f"support touches variable outside {variables}")
-            H[pos[i], pos[j]] += a
-            H[pos[j], pos[i]] += a
-    elif isinstance(q, HomPoly):
-        for alpha, c in q.terms.items():
-            if c == 0.0:
-                continue
-            touched = [i for i, a in enumerate(alpha) if a]
-            if any(i not in pos for i in touched):
-                raise ValueError(f"support touches variable outside {variables}")
-            if len(touched) == 1:
-                i = touched[0]
-                H[pos[i], pos[i]] += 2.0 * c
-            else:
-                i, j = touched
-                H[pos[i], pos[j]] += c
-                H[pos[j], pos[i]] += c
-    else:
-        raise TypeError(f"unsupported polynomial type {type(q)!r}")
-    return H
+def exponent_code(caps, d: int, *degrees):
+    """The mixed-radix code of exponent vectors alpha <= caps of degree at
+    most d: alpha has the code sum_i alpha_i r_i, with r_0 = 1 and
+    r_{i+1} = r_i b_i for the digit bases b_i = min(caps_i, d) + 1.
+    Returns r, b and, for each of ``degrees``, the ascending codes of the
+    exponents of that degree. The code is additive, and the sorted codes
+    of one degree are colex order, at caps 1^n the order of
+    ``SubsetBasis``. Caps whose codes overflow int64 are refused."""
+    caps = np.asarray(caps, dtype=np.int64)
+    base = np.minimum(caps, d) + 1
+    if math.prod(base.tolist()) > np.iinfo(np.int64).max:
+        raise ValueError(f"exponent codes of caps {tuple(caps.tolist())} at degree {d} do not fit in int64")
+    radix = np.cumprod(np.concatenate([[1], base[:-1]])).astype(np.int64)
+    if not degrees:
+        return radix, base
+    # every exponent of degree <= max(degrees); the new digit is the most
+    # significant and varies slowest, so the codes stay ascending
+    highest = max(degrees)
+    codes = sums = np.zeros(1, dtype=np.int64)
+    for b, r in zip(base.tolist(), radix.tolist()):
+        digit = np.arange(b, dtype=np.int64)[:, None]
+        codes, sums = (r * digit + codes).ravel(), (digit + sums).ravel()
+        codes, sums = codes[sums <= highest], sums[sums <= highest]
+    return (radix, base, *(codes[sums == k] for k in degrees))
 
 
 def compositions(total: int, parts: int, caps=None):

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .poly import MultiAffinePoly, SubsetBasis, subset_basis
+from .poly import MultiAffinePoly, SubsetBasis, _subset_table, subset_basis
 
 # exp overflow guard for backward flow; doubles top out near exp(709)
 _MAX_EXPONENT = 700.0
@@ -86,15 +86,6 @@ def uniform_rates(n: int) -> TranspositionRates:
     return TranspositionRates(n, {p: q for p in itertools.combinations(range(n), 2)})
 
 
-def _swap_subset(subset, i, j):
-    s = set(subset)
-    has_i = i in s
-    has_j = j in s
-    if has_i != has_j:
-        s ^= {i, j}
-    return tuple(sorted(s))
-
-
 class SepGenerator:
     """Convex combination of transposition actions on a subset basis;
     symmetric and doubly stochastic by construction."""
@@ -110,8 +101,10 @@ class SepGenerator:
 
 
 def build_generator(basis: SubsetBasis, rates: TranspositionRates) -> SepGenerator:
-    """Assemble the generator matrix entry by entry: position (A, B) sums
-    the rates of the transpositions mapping subset B to subset A."""
+    """Assemble the generator matrix: position (A, B) sums the rates of
+    the transpositions mapping subset B to subset A. Subsets are bitmasks,
+    which ascend in colex order, so each transposition is one gather over
+    the basis, taken in the order of the rates."""
     if rates.n != basis.n:
         raise ValueError(f"rates are on {rates.n} variables, basis on {basis.n}")
     size = basis.size
@@ -123,11 +116,13 @@ def build_generator(basis: SubsetBasis, rates: TranspositionRates) -> SepGenerat
             "a two-dimensional subset basis gives a periodic swap action; "
             "this configuration is excluded"
         )
+    masks = (1 << _subset_table(basis.n, basis.d).astype(np.int64)).sum(axis=1)
+    columns = np.arange(size)
     L = np.zeros((size, size))
     for (i, j), q in rates.rates.items():
-        for b, subset in enumerate(basis.subsets):
-            a = basis.rank(_swap_subset(subset, i, j))
-            L[a, b] += q
+        # a subset holding exactly one of i and j swaps it for the other
+        moved = np.where(((masks >> i) ^ (masks >> j)) & 1, masks ^ ((1 << i) | (1 << j)), masks)
+        L[np.searchsorted(masks, moved), columns] += q
     if not np.allclose(L, L.T, atol=1e-12):
         raise ValueError("generator failed to come out symmetric")
     return SepGenerator(basis, L, rates)

@@ -5,12 +5,11 @@ and the support strata of polynomials. One exact, vectorized kernel,
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import HomPoly, MultiAffinePoly
+from .poly import HomPoly, MultiAffinePoly, exponent_code
 
 # (alpha, beta) pairs the exchange kernel holds at once: memory linear in the set
 _EXCHANGE_BLOCK_PAIRS = 1 << 18
@@ -77,10 +76,9 @@ def exchange_violation(points):
     set and every i with alpha_i > beta_i, some j with alpha_j < beta_j
     keeps alpha - e_i + e_j in the set. Repeated rows count once.
 
-    Rows are coded sum_i alpha_i r_i with the set's maxima as caps, as in
-    ``certify._table``. Violations are ordered by alpha, then beta, in
-    ascending code order (colex; ``SubsetBasis`` order on 0/1 rows), then
-    i ascending. Codes past int64, which within 16 variables takes n = 16
+    Rows are coded by ``poly.exponent_code`` with the set's maxima as caps.
+    Violations are ordered by alpha, then beta, in ascending code order
+    (colex; ``SubsetBasis`` order on 0/1 rows), then i ascending. Codes past int64, which within 16 variables takes n = 16
     and maxima near 16, are refused with a ``ValueError``. A pair violates
     the axiom at i when U_t(beta) = {j : beta_j >= t} misses F_t[alpha, i]
     at every level t: the j with alpha - e_i + e_j in the set and
@@ -93,9 +91,7 @@ def exchange_violation(points):
     if live.size == 0:
         return None
     caps = P[:, live].max(axis=0)
-    if math.prod((caps + 1).tolist()) > np.iinfo(np.int64).max:
-        raise ValueError(f"exponent codes of maxima {caps.tolist()} do not fit in int64")
-    radix = np.cumprod(np.concatenate([[1], caps[:-1] + 1])).astype(np.int64)
+    radix, _ = exponent_code(caps, int(caps.max()))  # the maxima are the caps
     codes, first = np.unique(P[:, live] @ radix, return_index=True)
     A = P[first][:, live]
     m, k = A.shape

@@ -8,9 +8,9 @@ directions, restricts f by repeated ``np.convolve`` and classifies each
 line with its own Hankel matrix. The batched package code must reproduce
 their verdicts and witnesses. The two pair loops of the exchange axiom,
 ``is_m_convex_reference`` and ``is_matroid_bases_reference``, are the
-oracle of the vectorized ``strata.exchange_violation``; their witnesses
-follow the iteration order of a frozenset, so only their verdicts are
-compared.
+oracle of the vectorized ``strata.exchange_violation``; they walk alpha,
+then beta, in colex order, then i ascending, the kernel's documented
+order, so their first violation is the kernel's witness.
 """
 
 import itertools
@@ -26,7 +26,7 @@ from lorentzflow.certify import (
     Verdict,
     VerdictStatus,
 )
-from lorentzflow.poly import MultiAffinePoly, hessian_quadratic
+from lorentzflow.poly import HomPoly, MultiAffinePoly
 from lorentzflow.strata import BasisFamily, ExchangeResult
 
 _DEGENERATE_LEAD = 1e-14
@@ -115,6 +115,49 @@ def real_rooted_reference(coeffs, tol=DEFAULT_TOL):
     return RootResult(RootClass.ALL_REAL_WITH_TIES, dropped)
 
 
+def hessian_quadratic(q, variables=None) -> np.ndarray:
+    """Symmetric matrix H with q(w) = (1/2) w^T H w for a quadratic q.
+
+    ``variables`` lists the variable indices the quadratic is considered in
+    (default: all of them); the support of q must stay inside that list.
+    """
+    if q.d != 2:
+        raise ValueError(f"need a homogeneous quadratic, got degree {q.d}")
+    if variables is None:
+        variables = list(range(q.n))
+    variables = list(variables)
+    pos = {v: k for k, v in enumerate(variables)}
+    m = len(variables)
+    H = np.zeros((m, m))
+    if isinstance(q, MultiAffinePoly):
+        items = (
+            (s, a) for s, a in zip(q.basis.subsets, q.coeffs) if a != 0.0
+        )
+        for subset, a in items:
+            i, j = subset
+            if i not in pos or j not in pos:
+                raise ValueError(f"support touches variable outside {variables}")
+            H[pos[i], pos[j]] += a
+            H[pos[j], pos[i]] += a
+    elif isinstance(q, HomPoly):
+        for alpha, c in q.terms.items():
+            if c == 0.0:
+                continue
+            touched = [i for i, a in enumerate(alpha) if a]
+            if any(i not in pos for i in touched):
+                raise ValueError(f"support touches variable outside {variables}")
+            if len(touched) == 1:
+                i = touched[0]
+                H[pos[i], pos[i]] += 2.0 * c
+            else:
+                i, j = touched
+                H[pos[i], pos[j]] += c
+                H[pos[j], pos[i]] += c
+    else:
+        raise TypeError(f"unsupported polynomial type {type(q)!r}")
+    return H
+
+
 def lorentzian_signature_reference(H, tol=DEFAULT_TOL):
     w = np.linalg.eigvalsh(H)[::-1]
     eff = tol * max(1.0, float(np.sum(np.abs(w))))
@@ -126,16 +169,22 @@ def lorentzian_signature_reference(H, tol=DEFAULT_TOL):
     return AT_MOST_ONE_POSITIVE, w
 
 
+def _colex(points):
+    """Points in colex order: the last coordinate is the most significant."""
+    return sorted(points, key=lambda p: p[::-1])
+
+
 def is_m_convex_reference(candidate):
     """Exchange check on exponent vectors: for alpha, beta in the set and
     every i with alpha_i > beta_i there must be j with alpha_j < beta_j
     such that alpha - e_i + e_j stays in the set. The witness on failure
-    is the violating (alpha, beta, i)."""
+    is the first violating (alpha, beta, i), alpha and beta in colex
+    order, then i ascending."""
     pts = candidate.points
     if not pts:
         raise ValueError("empty point set")
-    for alpha in pts:
-        for beta in pts:
+    for alpha in _colex(pts):
+        for beta in _colex(pts):
             for i in range(candidate.n):
                 if alpha[i] <= beta[i]:
                     continue
@@ -156,15 +205,16 @@ def is_m_convex_reference(candidate):
 def is_matroid_bases_reference(family):
     """Basis exchange: for B1, B2 in the family and every x in B1 - B2
     there must be y in B2 - B1 with (B1 - {x}) + {y} in the family.
-    The witness on failure is the violating (B1, B2, x)."""
+    The witness on failure is the first violating (B1, B2, x), B1 and B2
+    in colex order, then x ascending."""
     bases = family.bases
     if not bases:
         raise ValueError("empty basis family")
-    for b1 in bases:
+    for b1 in _colex(bases):
         s1 = set(b1)
-        for b2 in bases:
+        for b2 in _colex(bases):
             s2 = set(b2)
-            for x in s1 - s2:
+            for x in sorted(s1 - s2):
                 rest = s1 - {x}
                 if not any(tuple(sorted(rest | {y})) in bases for y in s2 - s1):
                     return ExchangeResult(False, (b1, b2, x))

@@ -1,16 +1,19 @@
 """Flow helpers that only the tests use: the primitivity of a generator,
 the dense flow matrix, the contraction sandwich radii, block
-symmetrization, and a numerical check of the contractive-flow properties
-on given members.
+symmetrization, a numerical check of the contractive-flow properties on
+given members, and the per-subset loops that built the generator, the
+lift and the projection, kept as the oracles of their array forms.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from lorentzflow.ballmap import MembershipOracle
-from lorentzflow.poly import MultiAffinePoly
+from lorentzflow.poly import HomPoly, MultiAffinePoly
+from lorentzflow.polarization import PolarizationPlan
 from lorentzflow.sep import (
     PeriodicFlowError,
     SepGenerator,
@@ -19,6 +22,77 @@ from lorentzflow.sep import (
     centered_norm,
     flow,
 )
+
+
+def _swap_subset(subset, i, j):
+    s = set(subset)
+    has_i = i in s
+    has_j = j in s
+    if has_i != has_j:
+        s ^= {i, j}
+    return tuple(sorted(s))
+
+
+def build_generator_reference(basis, rates):
+    """The generator matrix entry by entry: position (A, B) sums the rates
+    of the transpositions mapping subset B to subset A."""
+    size = basis.size
+    L = np.zeros((size, size))
+    for (i, j), q in rates.rates.items():
+        for b, subset in enumerate(basis.subsets):
+            a = basis.rank(_swap_subset(subset, i, j))
+            L[a, b] += q
+    return L
+
+
+def polarize_up_reference(f: HomPoly, plan: PolarizationPlan | None = None) -> MultiAffinePoly:
+    """Lift a capped polynomial to the multiaffine polynomial that is
+    symmetric within each block. Each term transports its coefficient,
+    split evenly, to every lifted subset that picks the term's exponent
+    from each block."""
+    if plan is None:
+        plan = PolarizationPlan(f.n, f.d, f.kappa)
+    if plan.n != f.n or plan.d != f.d:
+        raise ValueError(f"plan {plan!r} does not match polynomial {f!r}")
+    basis = plan.lifted_basis
+    out = np.zeros(basis.size)
+    for alpha, c in f.terms.items():
+        if any(a > k for a, k in zip(alpha, plan.kappa)):
+            raise ValueError(f"exponent {alpha} exceeds caps {plan.kappa}")
+        weight = c
+        for a, k in zip(alpha, plan.kappa):
+            weight /= math.comb(k, a)
+        pools = [
+            itertools.combinations(block, a)
+            for block, a in zip(plan.blocks, alpha)
+            if a > 0
+        ]
+        for pick in itertools.product(*pools):
+            subset = tuple(sorted(itertools.chain.from_iterable(pick)))
+            out[basis.rank(subset)] += weight
+    return MultiAffinePoly(basis, out)
+
+
+def project_down_reference(g: MultiAffinePoly, plan: PolarizationPlan) -> HomPoly:
+    """Substitute every block variable back to its owner: the coefficient
+    of a lifted subset lands on the exponent vector counting how many of
+    its elements each block contributed."""
+    if g.basis != plan.lifted_basis:
+        raise ValueError(f"polynomial lives on {g.basis!r}, plan expects {plan.lifted_basis!r}")
+    block_of = {}
+    for bi, block in enumerate(plan.blocks):
+        for v in block:
+            block_of[v] = bi
+    terms: dict[tuple, float] = {}
+    for subset, c in zip(g.basis.subsets, g.coeffs):
+        if c == 0.0:
+            continue
+        alpha = [0] * plan.n
+        for v in subset:
+            alpha[block_of[v]] += 1
+        key = tuple(alpha)
+        terms[key] = terms.get(key, 0.0) + float(c)
+    return HomPoly(plan.n, plan.d, plan.kappa, terms)
 
 
 def check_primitivity(gen, max_power: int | None = None) -> int:

@@ -29,7 +29,6 @@ from lorentzflow.poly import (
     MultiAffinePoly,
     compositions,
     elementary_symmetric,
-    hessian_quadratic,
     normalize_at_ones,
     subset_basis,
 )
@@ -60,6 +59,7 @@ from lorentzflow.strata import (
     is_matroid_bases,
 )
 
+from certify_reference import hessian_quadratic
 from flow_helpers import radius_bounds
 
 

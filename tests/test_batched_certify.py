@@ -118,6 +118,10 @@ def corpus():
             # support at (12,6)
             if (name, n) != ("transversal_boundary", 12):
                 out[f"{name}({n},{d})"] = f
+    # just inside the partition boundary: some coefficients are still
+    # below tol, and the support fails basis exchange
+    partition = random_disjoint_form_product(subset_basis(8, 4), np.random.default_rng(0))
+    out["support_exchange(8,4)"] = flow(partition, 1e-3, uniform_decomposition(8, 4))
     plan = PolarizationPlan(4, 4, (2, 2, 2, 2))
     block = _multiaffine_part(np.repeat(_forms(rng, 4, 4), 2, axis=1))
     out["capped(2,2,2,2)"] = normalize_at_ones(project_down(block, plan))

@@ -12,14 +12,14 @@ import time
 import numpy as np
 import pytest
 
-from certify_reference import certify_multiaffine_reference
+from certify_reference import certify_multiaffine_reference, hessian_quadratic
 from lorentzflow import certify as C
 from lorentzflow import cli
 from lorentzflow import io as pio
 from lorentzflow.ballmap import capped_lorentzian_oracle, escape_time
 from lorentzflow.certify import VerdictStatus, certify_hom, certify_multiaffine
 from lorentzflow.polarization import PolarizationPlan, polarize_up, polarized_flow
-from lorentzflow.poly import HomPoly, MultiAffinePoly, compositions, hessian_quadratic, subset_basis
+from lorentzflow.poly import HomPoly, MultiAffinePoly, compositions, subset_basis
 from lorentzflow.samples import random_form_product
 from lorentzflow.strata import BasisFamily, MConvexCandidate, is_m_convex, is_matroid_bases
 

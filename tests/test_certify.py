@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from certify_reference import hessian_quadratic
 from lorentzflow.certify import (
     RootClass,
     VerdictStatus,
@@ -25,7 +26,6 @@ from lorentzflow.poly import (
     HomPoly,
     MultiAffinePoly,
     elementary_symmetric,
-    hessian_quadratic,
     normalize_at_ones,
     subset_basis,
 )

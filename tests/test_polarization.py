@@ -24,7 +24,7 @@ from lorentzflow.polarization import (
 )
 from lorentzflow.sep import centered_norm
 
-from flow_helpers import symmetrize_partition
+from flow_helpers import polarize_up_reference, project_down_reference, symmetrize_partition
 
 
 def _random_capped(rng, n=None, d=None):
@@ -80,6 +80,12 @@ class TestPolarizeUp:
         with pytest.raises(ValueError, match="exceeds caps"):
             polarize_up(f, plan)
 
+    def test_plan_mismatch_raises(self):
+        f = HomPoly(2, 2, (2, 2), {(1, 1): 1.0})
+        for plan in (PolarizationPlan(3, 2, (2, 2, 2)), PolarizationPlan(2, 3, (2, 2))):
+            with pytest.raises(ValueError, match="does not match"):
+                polarize_up(f, plan)
+
 
 class TestProjectDown:
     def test_block_pair_collapses_to_square(self):
@@ -112,6 +118,34 @@ class TestProjectDown:
         plan = PolarizationPlan(1, 2, (2,))
         with pytest.raises(ValueError):
             project_down(MultiAffinePoly(subset_basis(3, 2), [1, 0, 0]), plan)
+
+
+@pytest.mark.parametrize(
+    "kappa, d",
+    [((1, 1, 1, 1, 1), 3), ((1, 2, 3), 3), ((5, 1, 2), 4), ((2, 2, 2, 2), 4), ((4, 4, 4, 4), 4), ((3, 5, 6), 4)],
+)
+def test_gathers_equal_the_reference_loops(kappa, d):
+    """Same lifted coefficients, and the same projected terms in the same
+    insertion order, as the per-subset loops, on inputs with zero and
+    missing coefficients, terms in shuffled order, and a lifted input that
+    is not block-symmetric and mostly zero, so that compositions first
+    appear out of code order. At kappa = (3, 5, 6) one term divides by
+    two binomials that are not powers of two, so the order of the
+    divisions shows in the last bit."""
+    rng = np.random.default_rng(sum(kappa) * 10 + d)
+    alphas = list(compositions(d, len(kappa), caps=kappa))
+    rng.shuffle(alphas)
+    coeffs = rng.standard_normal(len(alphas))
+    coeffs[rng.random(len(alphas)) < 0.3] = 0.0
+    f = HomPoly(len(kappa), d, kappa, dict(zip(alphas[1:], coeffs[1:])))
+    plan = PolarizationPlan(len(kappa), d, kappa)
+    lifted = polarize_up(f, plan)
+    assert np.array_equal(lifted.coeffs, polarize_up_reference(f, plan).coeffs)
+    raw = rng.standard_normal(plan.lifted_basis.size)
+    raw[rng.random(raw.size) < 0.8] = 0.0
+    for g in (lifted, MultiAffinePoly(plan.lifted_basis, raw)):
+        got, want = project_down(g, plan), project_down_reference(g, plan)
+        assert list(got.terms.items()) == list(want.terms.items())
 
 
 class TestStableCenter:

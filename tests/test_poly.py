@@ -6,12 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from certify_reference import hessian_quadratic
 from lorentzflow.poly import (
     HomPoly,
     MultiAffinePoly,
     compositions,
     elementary_symmetric,
-    hessian_quadratic,
     normalize_at_ones,
     subset_basis,
 )

@@ -1,6 +1,7 @@
 """Tests for the exclusion-process flow: generator structure, spectrum,
 primitivity, the closed-form flow, and the contraction bookkeeping."""
 
+import itertools
 import math
 
 import numpy as np
@@ -21,7 +22,13 @@ from lorentzflow.sep import (
     uniform_rates,
 )
 
-from flow_helpers import check_primitivity, flow_matrix, radius_bounds, symmetrize_partition
+from flow_helpers import (
+    build_generator_reference,
+    check_primitivity,
+    flow_matrix,
+    radius_bounds,
+    symmetrize_partition,
+)
 
 
 def _taylor_flow_matrix(L, s, terms=60):
@@ -81,6 +88,24 @@ class TestGenerator:
             assert np.allclose(gen.matrix.sum(axis=0), 1.0, atol=1e-12)
             assert np.allclose(gen.matrix.sum(axis=1), 1.0, atol=1e-12)
             assert np.allclose(gen.matrix, gen.matrix.T, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "n, d, seed",
+        [(5, 2, None), (8, 4, None), (12, 6, None), (16, 4, None), (6, 3, 0), (7, 2, 1)],
+    )
+    def test_equals_the_reference_loop(self, n, d, seed):
+        # seeded rates: a random set of pairs around a spanning path, in
+        # shuffled order, so the pairs' order is exercised too
+        if seed is None:
+            rates = uniform_rates(n)
+        else:
+            rng = np.random.default_rng(seed)
+            pairs = [p for p in itertools.combinations(range(n), 2) if p[1] == p[0] + 1 or rng.random() < 0.5]
+            rng.shuffle(pairs)
+            weights = rng.random(len(pairs)) + 0.1
+            rates = TranspositionRates(n, dict(zip(pairs, weights / weights.sum())))
+        basis = subset_basis(n, d)
+        assert np.array_equal(build_generator(basis, rates).matrix, build_generator_reference(basis, rates))
 
     def test_two_element_basis_rejected_as_periodic(self):
         with pytest.raises(PeriodicFlowError):
