@@ -31,11 +31,12 @@ from .certify import (
 from .poly import HomPoly, MultiAffinePoly
 from .polarization import (
     PolarizationPlan,
-    lifted_decomposition,
+    _check_lifted,
+    composition_chain,
     polarize_up,
-    project_down,
+    polarized_flow,
 )
-from .sep import SpectralDecomposition, centered_norm, flow
+from .sep import SpectralDecomposition, flow
 
 # centered norms below this are treated as the flow's fixed point
 CENTER_EPS = 1e-10
@@ -106,22 +107,28 @@ def _helmert(c: np.ndarray) -> np.ndarray:
     return (np.cumsum(c)[:-1] - k * c[1:]) / np.sqrt(k * (k + 1.0))
 
 
-def _make_stepper(f, dec: SpectralDecomposition, plan: PolarizationPlan | None):
-    """Return (flow_by, centered, dec) adapted to the polynomial type:
-    capped polynomials move through the lift, multiaffine ones directly."""
+def _centered_norm(c: np.ndarray) -> float:
+    return float(np.linalg.norm(c - c.mean()))
+
+
+def _make_stepper(f, dec: SpectralDecomposition | None, plan: PolarizationPlan | None):
+    """Return (flow_by, frame, eigenvalues) for the polynomial type: the
+    flow, the coefficient vector whose Helmert coordinates and centered
+    norm the ball map reads, and the spectrum the flow runs on. Capped
+    polynomials flow on their composition chain and are framed by their
+    lift; multiaffine ones flow and are framed directly."""
     if isinstance(f, HomPoly):
         if plan is None:
             plan = PolarizationPlan(f.n, f.d, f.kappa)
-        if dec is None:
-            dec = lifted_decomposition(plan.lifted_n, plan.d)
+        _check_lifted(dec, plan)
 
         def flow_by(g, s):
-            return project_down(flow(polarize_up(g, plan), s, dec), plan)
+            return polarized_flow(g, s, plan)
 
-        def centered(g):
-            return polarize_up(g, plan)
+        def frame(g):
+            return polarize_up(g, plan).coeffs
 
-        return flow_by, centered, dec
+        return flow_by, frame, composition_chain(plan.d, plan.kappa).eigenvalues
     if isinstance(f, MultiAffinePoly):
         if dec is None:
             raise ValueError("a spectral decomposition is required for multiaffine flows")
@@ -129,10 +136,10 @@ def _make_stepper(f, dec: SpectralDecomposition, plan: PolarizationPlan | None):
         def flow_by(g, s):
             return flow(g, s, dec)
 
-        def centered(g):
-            return g
+        def frame(g):
+            return g.coeffs
 
-        return flow_by, centered, dec
+        return flow_by, frame, dec.eigenvalues
     raise TypeError(f"unsupported polynomial type {type(f)!r}")
 
 
@@ -151,13 +158,13 @@ def escape_time(
     top of the bracket width. Raises InfiniteEscape at the fixed point and
     EscapeNotBracketed when no exit occurs before ``s_max``.
     """
-    flow_by, centered, dec = _make_stepper(f, dec, plan)
-    if centered_norm(centered(f), dec) < CENTER_EPS:
+    flow_by, frame, eigenvalues = _make_stepper(f, dec, plan)
+    if _centered_norm(frame(f)) < CENTER_EPS:
         raise InfiniteEscape("input is the flow's fixed point")
     if not oracle.is_member(f):
         raise ValueError("input is not a member of the oracle's space")
     # keep the overflow guard of the backward flow out of reach
-    gap_max = 1.0 - float(dec.eigenvalues[-1])
+    gap_max = 1.0 - float(eigenvalues[-1])
     s_cap = min(s_max, 690.0 / gap_max)
     lo = 0.0
     hi = max(tol, 1e-3)
@@ -174,7 +181,7 @@ def escape_time(
             hi = mid
     sigma = 0.5 * (lo + hi)
     anchor = flow_by(f, -sigma)
-    x = _helmert(centered(anchor).coeffs)
+    x = _helmert(frame(anchor))
     nrm = float(np.linalg.norm(x))
     direction = x / nrm
     ball_point = math.exp(-sigma) * direction
@@ -193,10 +200,11 @@ def ball_coordinates(
     """Candidate ball coordinate of a member: zero at the fixed point,
     exp(-sigma) times the anchor direction elsewhere; unit norm exactly on
     the boundary."""
-    _, centered, dec_resolved = _make_stepper(f, dec, plan)
-    if centered_norm(centered(f), dec_resolved) < CENTER_EPS:
-        return np.zeros(dec_resolved.size - 1)
-    result = escape_time(f, oracle, dec_resolved, s_max=s_max, tol=tol, plan=plan)
+    _, frame, _ = _make_stepper(f, dec, plan)
+    c = frame(f)
+    if _centered_norm(c) < CENTER_EPS:
+        return np.zeros(c.size - 1)
+    result = escape_time(f, oracle, dec, s_max=s_max, tol=tol, plan=plan)
     return result.ball_point
 
 
@@ -211,7 +219,7 @@ class TrajectorySample:
 def trajectory(f, dec, times, oracle: MembershipOracle | None = None, plan=None):
     """Flow snapshots at the given times: polynomial, centered norm, and
     (when an oracle is supplied) the certification verdict."""
-    flow_by, centered, dec = _make_stepper(f, dec, plan)
+    flow_by, frame, _ = _make_stepper(f, dec, plan)
     rows = []
     for t in times:
         g = flow_by(f, float(t))
@@ -219,7 +227,7 @@ def trajectory(f, dec, times, oracle: MembershipOracle | None = None, plan=None)
             TrajectorySample(
                 float(t),
                 g,
-                centered_norm(centered(g), dec),
+                _centered_norm(frame(g)),
                 oracle.certify(g) if oracle is not None else None,
             )
         )

@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--times", required=True, help="comma-separated list of times")
     p.add_argument("--rates", choices=["uniform"], default="uniform")
     p.add_argument("--rates-file", default=None, help="JSON file with explicit pair rates")
-    p.add_argument("--polarized", action="store_true", help="flow a capped polynomial through the lift")
+    p.add_argument("--polarized", action="store_true", help="flow a capped polynomial on its composition chain")
     p.add_argument("--oracle", choices=["lorentzian", "stable"], default="lorentzian")
     p.add_argument("--directions", type=int, default=DEFAULT_DIRECTIONS)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)

@@ -1,19 +1,25 @@
 """Polarization: the linear isomorphism between degree-capped polynomials
 and multiaffine polynomials that are symmetric within blocks of fresh
-variables, plus the capped-space flow obtained by conjugating the
-multiaffine flow with it.
+variables, plus the capped-space flow that this isomorphism conjugates
+out of the multiaffine one.
 
 Lifting replaces the i-th variable raised to the power a by the degree-a
 elementary symmetric polynomial in that variable's block, divided by the
 number of its monomials; projecting substitutes every block variable back
 to the original one. Lift-then-project is the identity; project-then-lift
 symmetrizes within blocks.
+
+On block-symmetric vectors the uniform exclusion flow is the multi-urn
+Bernoulli-Laplace chain on the compositions alpha <= kappa, so capped
+flows run on that chain's few states and never build the lift.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +32,7 @@ from .poly import (
     exponent_code,
     subset_basis,
 )
-from .sep import SpectralDecomposition, flow, uniform_decomposition
+from .sep import SpectralDecomposition, _checked_spectrum, _decay_factors, uniform_decomposition
 
 
 class PolarizationPlan:
@@ -81,6 +87,21 @@ def _lift(d: int, kappa: tuple):
     return radix, alphas, codes, binom, index
 
 
+def _term_vector(f: HomPoly, plan: PolarizationPlan) -> np.ndarray:
+    """The coefficients of f on the degree-d exponents of the plan's
+    caps, in ascending code order."""
+    if plan.n != f.n or plan.d != f.d:
+        raise ValueError(f"plan {plan!r} does not match polynomial {f!r}")
+    radix, _, codes, _, _ = _lift(plan.d, plan.kappa)
+    alphas = np.array(list(f.terms), dtype=np.int64).reshape(-1, f.n)
+    over = np.flatnonzero((alphas > plan.kappa).any(axis=1))
+    if over.size:
+        raise ValueError(f"exponent {tuple(alphas[over[0]].tolist())} exceeds caps {plan.kappa}")
+    c = np.zeros(codes.size)
+    c[np.searchsorted(codes, alphas @ radix)] = list(f.terms.values())
+    return c
+
+
 def polarize_up(f: HomPoly, plan: PolarizationPlan | None = None) -> MultiAffinePoly:
     """Lift a capped polynomial to the multiaffine polynomial that is
     symmetric within each block. Each term's coefficient, divided by
@@ -89,15 +110,8 @@ def polarize_up(f: HomPoly, plan: PolarizationPlan | None = None) -> MultiAffine
     gather over the lifted basis."""
     if plan is None:
         plan = PolarizationPlan(f.n, f.d, f.kappa)
-    if plan.n != f.n or plan.d != f.d:
-        raise ValueError(f"plan {plan!r} does not match polynomial {f!r}")
-    radix, _, codes, binom, index = _lift(plan.d, plan.kappa)
-    alphas = np.array(list(f.terms), dtype=np.int64).reshape(-1, f.n)
-    over = np.flatnonzero((alphas > plan.kappa).any(axis=1))
-    if over.size:
-        raise ValueError(f"exponent {tuple(alphas[over[0]].tolist())} exceeds caps {plan.kappa}")
-    g = np.zeros(codes.size)
-    g[np.searchsorted(codes, alphas @ radix)] = list(f.terms.values())
+    g = _term_vector(f, plan)
+    _, _, _, binom, index = _lift(plan.d, plan.kappa)
     for row in binom:
         g /= row
     return MultiAffinePoly(plan.lifted_basis, g[index])
@@ -122,9 +136,72 @@ def project_down(g: MultiAffinePoly, plan: PolarizationPlan) -> HomPoly:
 
 @lru_cache(maxsize=32)
 def lifted_decomposition(lifted_n: int, d: int) -> SpectralDecomposition:
-    """Cached uniform-rate spectral decomposition on the lifted basis;
-    building it dominates the cost of capped-space flows."""
+    """Cached uniform-rate spectral decomposition on the lifted basis: the
+    dense reference that ``composition_chain`` reduces, kept for callers
+    that flow lifted polynomials themselves."""
     return uniform_decomposition(lifted_n, d)
+
+
+class CompositionChain(NamedTuple):
+    """The lifted uniform flow on block-symmetric vectors, as a chain on
+    the degree-d exponents alpha <= kappa in code order: ``weights`` are
+    sqrt(prod_i C(kappa_i, alpha_i)), the chain's symmetrized matrix is
+    ``vectors`` diag(``eigenvalues``) ``vectors``^T, and ``exponents``
+    are the states as tuples. All read-only."""
+
+    weights: np.ndarray
+    eigenvalues: np.ndarray
+    vectors: np.ndarray
+    exponents: tuple
+
+
+@lru_cache(maxsize=32)
+def composition_chain(d: int, kappa: tuple) -> CompositionChain:
+    """The multi-urn Bernoulli-Laplace chain on the compositions
+    alpha <= kappa of d (Diaconis-Shahshahani 1987), which is the lifted
+    uniform flow seen on block-symmetric vectors. A transposition of two
+    lifted variables moves alpha to alpha - e_b + e_c when it swaps an
+    element of block b in the subset for one of block c outside it, at
+    rate alpha_b (kappa_c - alpha_c) / C(N, 2), N = sum(kappa); every
+    other pair leaves the composition alone. The chain is reversible for
+    w = prod_i C(kappa_i, alpha_i), so D^(1/2) P D^(-1/2), D = diag(w), is
+    symmetric: its (alpha, alpha - e_b + e_c) entry is the square root of
+    the product of the two opposite rates, an integer product that is the
+    same bit for bit from either side. One gather per ordered block pair
+    fills it, and ``_checked_spectrum`` decomposes it with mass sqrt(w)."""
+    radix, alphas, codes, binom, _ = _lift(d, kappa)
+    caps = np.array(kappa, dtype=np.int64)
+    total = int(caps.sum())
+    if total < 2:
+        raise ValueError(f"need at least two lifted variables, got {total}")
+    pairs = math.comb(total, 2)
+    free = caps - alphas  # (M, n) room left in each block
+    A = np.zeros((codes.size, codes.size))
+    for b, c in itertools.permutations(range(len(kappa)), 2):
+        src = np.flatnonzero((alphas[:, b] > 0) & (free[:, c] > 0))
+        dst = np.searchsorted(codes, codes[src] + radix[c] - radix[b])
+        both = alphas[src, b] * free[src, c] * (alphas[src, c] + 1) * (free[src, b] + 1)
+        A[dst, src] = np.sqrt(both) / pairs
+    # pairs inside the subset, outside it, or inside one block stay put
+    stay = math.comb(d, 2) + math.comb(total - d, 2) + (alphas * free).sum(axis=1)
+    A[np.diag_indices(codes.size)] = stay / pairs
+    weights = np.sqrt(binom.prod(axis=0))
+    eigenvalues, vectors = _checked_spectrum(A, weights)
+    for arr in (weights, eigenvalues, vectors):
+        arr.flags.writeable = False
+    return CompositionChain(weights, eigenvalues, vectors, tuple(map(tuple, alphas.tolist())))
+
+
+def _check_lifted(dec: SpectralDecomposition | None, plan: PolarizationPlan) -> None:
+    """A capped flow runs on the composition chain of the uniform lifted
+    flow; a lifted decomposition handed in must be that flow's."""
+    if dec is None:
+        return
+    if dec.basis != plan.lifted_basis:
+        raise ValueError(f"decomposition lives on {dec.basis!r}, plan expects {plan.lifted_basis!r}")
+    pairs = math.comb(plan.lifted_n, 2)
+    if len(dec.rates.rates) != pairs or set(dec.rates.rates.values()) != {1.0 / pairs}:
+        raise ValueError("capped flows use uniform rates on the lifted variables")
 
 
 def polarized_flow(
@@ -133,14 +210,19 @@ def polarized_flow(
     plan: PolarizationPlan | None = None,
     dec: SpectralDecomposition | None = None,
 ) -> HomPoly:
-    """Flow a capped polynomial: lift, run the multiaffine flow with
-    uniform rates on the lifted variables, project back."""
+    """Flow a capped polynomial for time ``s``: the uniform-rate flow on
+    the lifted variables, run on the composition chain as
+    c' = sqrt(w) V diag(exp(-s (1 - lambda))) V^T (c / sqrt(w)) on the
+    coefficients c in code order. A decomposition ``dec`` is only checked
+    to be the uniform one on the plan's lifted basis; it is not used."""
     if plan is None:
         plan = PolarizationPlan(f.n, f.d, f.kappa)
-    if dec is None:
-        dec = lifted_decomposition(plan.lifted_n, plan.d)
-    lifted = polarize_up(f, plan)
-    return project_down(flow(lifted, s, dec), plan)
+    _check_lifted(dec, plan)
+    chain = composition_chain(plan.d, plan.kappa)
+    V = chain.vectors
+    x = V.T @ (_term_vector(f, plan) / chain.weights)
+    c = chain.weights * (V @ (_decay_factors(s, chain.eigenvalues) * x))
+    return HomPoly(plan.n, plan.d, plan.kappa, dict(zip(chain.exponents, c.tolist())))
 
 
 def stable_center(n: int, d: int) -> HomPoly:

@@ -220,19 +220,35 @@ class HomPoly:
         kappa = tuple(int(k) for k in kappa)
         if len(kappa) != n or any(k < 1 for k in kappa):
             raise ValueError(f"caps must be {n} positive integers, got {kappa}")
-        clean = {}
-        for alpha, c in terms.items():
-            alpha = tuple(int(a) for a in alpha)
-            if len(alpha) != n or any(a < 0 for a in alpha):
+        keys = list(terms)
+        # a key of the wrong length becomes a placeholder row, reported
+        # as a bad exponent vector
+        short = np.fromiter(map(len, keys), np.int64, len(keys)) != n
+        rows = [(0,) * n if bad else alpha for alpha, bad in zip(keys, short)] if short.any() else keys
+        try:
+            alphas = np.fromiter(itertools.chain.from_iterable(rows), np.int64, n * len(keys)).reshape(len(keys), n)
+        except OverflowError as exc:
+            raise ValueError(f"exponent out of range: {exc}") from exc
+        # adding 0.0 turns -0.0 into 0.0, as summing into an empty slot does
+        coeffs = np.fromiter(terms.values(), float, len(keys)) + 0.0
+        inside = (alphas >= 0) & (alphas <= np.array(kappa))
+        ok = ~short & inside.all(axis=1) & (alphas.sum(axis=1) == d) & np.isfinite(coeffs)
+        if not ok.all():
+            first = int(np.argmin(ok))
+            alpha = tuple(int(a) for a in keys[first])
+            if short[first] or min(alpha) < 0:
                 raise ValueError(f"bad exponent vector {alpha}")
             if sum(alpha) != d:
                 raise ValueError(f"exponent {alpha} does not have total degree {d}")
-            if any(a > k for a, k in zip(alpha, kappa)):
+            if not inside[first].all():
                 raise ValueError(f"exponent {alpha} exceeds caps {kappa}")
-            c = float(c)
-            if not math.isfinite(c):
-                raise ValueError("coefficients must be finite")
-            clean[alpha] = clean.get(alpha, 0.0) + c
+            raise ValueError("coefficients must be finite")
+        clean = dict(zip(map(tuple, alphas.tolist()), coeffs.tolist()))
+        if len(clean) < len(keys):
+            # keys that convert to the same exponent sum, in key order
+            clean = {}
+            for alpha, c in zip(map(tuple, alphas.tolist()), coeffs.tolist()):
+                clean[alpha] = clean.get(alpha, 0.0) + c
         self.n = n
         self.d = d
         self.kappa = kappa

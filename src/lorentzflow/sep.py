@@ -123,7 +123,9 @@ def build_generator(basis: SubsetBasis, rates: TranspositionRates) -> SepGenerat
         # a subset holding exactly one of i and j swaps it for the other
         moved = np.where(((masks >> i) ^ (masks >> j)) & 1, masks ^ ((1 << i) | (1 << j)), masks)
         L[np.searchsorted(masks, moved), columns] += q
-    if not np.allclose(L, L.T, atol=1e-12):
+    # each transposition is an involution, added in rate order, so (A, B)
+    # and (B, A) receive the same sum bit for bit
+    if not np.array_equal(L, L.T):
         raise ValueError("generator failed to come out symmetric")
     return SepGenerator(basis, L, rates)
 
@@ -161,14 +163,17 @@ class SpectralDecomposition:
         return f"SpectralDecomposition(n={self.basis.n}, d={self.basis.d}, size={self.size})"
 
 
-def spectral(gen: SepGenerator) -> SpectralDecomposition:
-    """Eigendecomposition of the generator with the invariants the flow
+def _checked_spectrum(A: np.ndarray, mass: np.ndarray):
+    """Descending eigenvalues and orthonormal eigenvectors of a symmetric
+    matrix that is similar, through a diagonal scaling, to a reversible
+    stochastic matrix whose mass functional is ``mass`` (all ones when
+    the matrix is doubly stochastic). Checks the invariants the flow
     relies on: a simple top eigenvalue at 1, everything else strictly
-    above -1, and orthonormal eigenvectors whose non-equilibrium modes
-    carry no mass."""
-    L = gen.matrix
-    size = L.shape[0]
-    w, vectors = np.linalg.eigh(L)
+    above -1, reconstruction, orthonormality, and non-equilibrium modes
+    that carry no mass. The top eigenvector is mass / |mass| up to sign
+    and round-off, and is pinned to it exactly."""
+    size = A.shape[0]
+    w, vectors = np.linalg.eigh(A)
     w = w[::-1].copy()
     vectors = vectors[:, ::-1].copy()
     if abs(w[0] - 1.0) > 1e-9:
@@ -181,22 +186,23 @@ def spectral(gen: SepGenerator) -> SpectralDecomposition:
                 f"bottom eigenvalue {w[size - 1]} is not strictly above -1"
             )
     w[0] = 1.0
-    # the generator is doubly stochastic and its top eigenvalue is simple,
-    # so eigh's column 0 is the uniform vector up to sign and round-off;
-    # pin it exactly
-    vectors[:, 0] = 1.0 / math.sqrt(size)
-    # invariant checks: reconstruction, orthonormality, zero mass of the
-    # non-equilibrium modes
+    vectors[:, 0] = mass / np.linalg.norm(mass)
     recon = (vectors * w) @ vectors.T
-    scale = max(1.0, float(np.linalg.norm(L)))
-    if np.linalg.norm(recon - L) > 1e-9 * scale:
+    scale = max(1.0, float(np.linalg.norm(A)))
+    if np.linalg.norm(recon - A) > 1e-9 * scale:
         raise RuntimeError("spectral reconstruction error too large")
     if np.linalg.norm(vectors.T @ vectors - np.eye(size)) > 1e-10 * max(1.0, size):
         raise RuntimeError("eigenvectors failed orthonormality")
-    if size > 1:
-        mass = np.abs(vectors[:, 1:].sum(axis=0))
-        if np.max(mass) > 1e-9:
-            raise RuntimeError("non-equilibrium mode with nonzero mass")
+    if size > 1 and np.max(np.abs(mass @ vectors[:, 1:])) > 1e-9:
+        raise RuntimeError("non-equilibrium mode with nonzero mass")
+    return w, vectors
+
+
+def spectral(gen: SepGenerator) -> SpectralDecomposition:
+    """Eigendecomposition of the generator, with the invariants of
+    ``_checked_spectrum``: the generator is doubly stochastic, so its
+    equilibrium is the uniform vector."""
+    w, vectors = _checked_spectrum(gen.matrix, np.ones(gen.matrix.shape[0]))
     return SpectralDecomposition(gen.basis, w, vectors, gen.rates)
 
 
@@ -207,8 +213,9 @@ def _check_compatible(f: MultiAffinePoly, dec: SpectralDecomposition) -> None:
         )
 
 
-def _decay_factors(s: float, dec: SpectralDecomposition) -> np.ndarray:
-    lam = dec.eigenvalues
+def _decay_factors(s: float, lam: np.ndarray) -> np.ndarray:
+    """Per-mode factors exp(-s (1 - lambda)) of the time-s flow, for
+    descending eigenvalues ``lam``."""
     if s < 0.0 and (-s) * (1.0 - lam[-1]) > _MAX_EXPONENT:
         raise FlowOverflowError(
             f"backward flow by {s} would exceed the overflow guard"
@@ -221,7 +228,7 @@ def flow(f: MultiAffinePoly, s: float, dec: SpectralDecomposition) -> MultiAffin
     _check_compatible(f, dec)
     V = dec.vectors
     x = V.T @ f.coeffs
-    return MultiAffinePoly(f.basis, V @ (_decay_factors(s, dec) * x))
+    return MultiAffinePoly(f.basis, V @ (_decay_factors(s, dec.eigenvalues) * x))
 
 
 def eigen_coords(f: MultiAffinePoly, dec: SpectralDecomposition):

@@ -1,8 +1,9 @@
 """Flow helpers that only the tests use: the primitivity of a generator,
 the dense flow matrix, the contraction sandwich radii, block
 symmetrization, a numerical check of the contractive-flow properties on
-given members, and the per-subset loops that built the generator, the
-lift and the projection, kept as the oracles of their array forms.
+given members, the per-subset loops that built the generator, the lift
+and the projection, kept as the oracles of their array forms, and the
+lift -> dense flow -> project path, the oracle of the composition chain.
 """
 
 import itertools
@@ -13,7 +14,12 @@ import numpy as np
 
 from lorentzflow.ballmap import MembershipOracle
 from lorentzflow.poly import HomPoly, MultiAffinePoly
-from lorentzflow.polarization import PolarizationPlan
+from lorentzflow.polarization import (
+    PolarizationPlan,
+    lifted_decomposition,
+    polarize_up,
+    project_down,
+)
 from lorentzflow.sep import (
     PeriodicFlowError,
     SepGenerator,
@@ -95,6 +101,15 @@ def project_down_reference(g: MultiAffinePoly, plan: PolarizationPlan) -> HomPol
     return HomPoly(plan.n, plan.d, plan.kappa, terms)
 
 
+def polarized_flow_reference(f: HomPoly, s: float, plan: PolarizationPlan | None = None) -> HomPoly:
+    """Flow a capped polynomial through the lift: lift, run the dense
+    uniform-rate flow on the lifted variables, project back."""
+    if plan is None:
+        plan = PolarizationPlan(f.n, f.d, f.kappa)
+    dec = lifted_decomposition(plan.lifted_n, plan.d)
+    return project_down(flow(polarize_up(f, plan), s, dec), plan)
+
+
 def check_primitivity(gen, max_power: int | None = None) -> int:
     """Smallest power of the generator with all entries positive, found by
     iterated boolean products. Accepts a SepGenerator or a raw square
@@ -115,7 +130,7 @@ def check_primitivity(gen, max_power: int | None = None) -> int:
 def flow_matrix(s: float, dec: SpectralDecomposition) -> np.ndarray:
     """Dense matrix of the time-s flow."""
     V = dec.vectors
-    return (V * _decay_factors(s, dec)) @ V.T
+    return (V * _decay_factors(s, dec.eigenvalues)) @ V.T
 
 
 def radius_bounds(r: float, s: float, dec: SpectralDecomposition):

@@ -1,6 +1,8 @@
-"""Tests for the lift/project pair, the capped-space flow, and the
-distinguished interior point of the capped space."""
+"""Tests for the lift/project pair, the capped-space flow on the
+composition chain, and the distinguished interior point of the capped
+space."""
 
+import json
 import math
 
 import numpy as np
@@ -14,17 +16,34 @@ from lorentzflow.poly import (
     normalize_at_ones,
     subset_basis,
 )
+from lorentzflow import ballmap, cli, polarization, sep
+from lorentzflow import io as pio
+from lorentzflow.ballmap import ball_coordinates, capped_lorentzian_oracle, escape_time
 from lorentzflow.polarization import (
     PolarizationPlan,
+    composition_chain,
     lifted_decomposition,
     polarize_up,
     polarized_flow,
     project_down,
     stable_center,
 )
-from lorentzflow.sep import centered_norm
+from lorentzflow.samples import random_form_product
+from lorentzflow.sep import (
+    FlowOverflowError,
+    PeriodicFlowError,
+    TranspositionRates,
+    build_generator,
+    centered_norm,
+    spectral,
+)
 
-from flow_helpers import polarize_up_reference, project_down_reference, symmetrize_partition
+from flow_helpers import (
+    polarize_up_reference,
+    polarized_flow_reference,
+    project_down_reference,
+    symmetrize_partition,
+)
 
 
 def _random_capped(rng, n=None, d=None):
@@ -229,3 +248,140 @@ class TestPolarizedFlow:
             for s in [0.0, 0.5, 1.5, 3.0]
         ]
         assert all(a > b for a, b in zip(norms, norms[1:]))
+
+
+def _nonincreasing_caps(total, largest=None):
+    """Every nonincreasing cap vector with entries summing to ``total``."""
+    if total == 0:
+        yield ()
+        return
+    for k in range(min(total, largest or total), 0, -1):
+        for rest in _nonincreasing_caps(total - k, k):
+            yield (k,) + rest
+
+
+# every nonincreasing kappa with sum(kappa) <= 12 and d = 2..4
+CHAIN_CORPUS = [
+    (kappa, d)
+    for total in range(2, 13)
+    for kappa in _nonincreasing_caps(total)
+    for d in range(2, min(4, total) + 1)
+]
+
+
+def _max_rel_error(got, want):
+    alphas = set(got.terms) | set(want.terms)
+    scale = max(abs(c) for c in want.terms.values())
+    return max(abs(got.coefficient(a) - want.coefficient(a)) for a in alphas) / scale
+
+
+@pytest.fixture
+def dense_builds(monkeypatch):
+    """Names of the dense generator builds and decompositions made while
+    the test runs, whichever module asks for them."""
+    calls = []
+    for mod in (sep, polarization, ballmap, cli):
+        for name in ("build_generator", "spectral", "uniform_decomposition", "lifted_decomposition"):
+            if hasattr(mod, name):
+                def counted(*args, _real=getattr(mod, name), _name=name, **kwargs):
+                    calls.append(_name)
+                    return _real(*args, **kwargs)
+
+                monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+class TestCompositionChain:
+    def test_agrees_with_the_lifted_flow(self):
+        """The chain against lift -> dense flow -> project on every cap
+        vector of the corpus, in both time directions, on signed inputs
+        with some zero and missing terms."""
+        rng = np.random.default_rng(24)
+        assert len(CHAIN_CORPUS) == 803
+        worst = 0.0
+        for kappa, d in CHAIN_CORPUS:
+            alphas = list(compositions(d, len(kappa), caps=kappa))
+            coeffs = rng.standard_normal(len(alphas))
+            coeffs[rng.random(len(alphas)) < 0.2] = 0.0
+            keep = rng.random(len(alphas)) < 0.9
+            keep[0] = True
+            coeffs[0] = 1.0
+            f = HomPoly(len(kappa), d, kappa, {a: c for a, c, k in zip(alphas, coeffs, keep) if k})
+            for s in (-0.3, 0.05, 2.0):
+                err = _max_rel_error(polarized_flow(f, s), polarized_flow_reference(f, s))
+                assert err <= 1e-12, (kappa, d, s, err)
+                worst = max(worst, err)
+        assert worst > 0.0  # the two paths are different arithmetic
+
+    def test_spectrum_is_johnson(self):
+        for kappa, d in CHAIN_CORPUS:
+            total = sum(kappa)
+            johnson = np.array([1 - k * (total + 1 - k) / math.comb(total, 2)
+                                for k in range(min(d, total - d) + 1)])
+            lam = composition_chain(d, kappa).eigenvalues
+            assert lam[0] == 1.0
+            assert np.abs(lam[:, None] - johnson).min(axis=1).max() <= 1e-13, (kappa, d)
+
+    def test_read_only_and_cached(self):
+        chain = composition_chain(4, (4, 4, 4, 4))
+        assert chain is composition_chain(4, (4, 4, 4, 4))
+        assert chain.vectors.shape == (35, 35)
+        for arr in (chain.weights, chain.eigenvalues, chain.vectors):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_periodic_and_degenerate_caps(self):
+        # kappa = (1, 1), d = 1 is the periodic swap on both paths
+        with pytest.raises(PeriodicFlowError):
+            polarized_flow(HomPoly(2, 1, (1, 1), {(1, 0): 1.0}), 0.1)
+        with pytest.raises(ValueError, match="at least two"):
+            polarized_flow(HomPoly(1, 1, (1,), {(1,): 1.0}), 0.1)
+
+    def test_lifted_decomposition_is_checked(self):
+        rng = np.random.default_rng(25)
+        f = random_form_product(2, 2, rng)
+        plan = PolarizationPlan(2, 2, f.kappa)
+        dec = lifted_decomposition(plan.lifted_n, 2)
+        assert _max_rel_error(polarized_flow(f, 0.5, plan, dec), polarized_flow(f, 0.5)) == 0.0
+        skewed = spectral(build_generator(
+            plan.lifted_basis, TranspositionRates(4, {(0, 1): 0.5, (1, 2): 0.25, (2, 3): 0.25})))
+        with pytest.raises(ValueError, match="uniform rates"):
+            polarized_flow(f, 0.5, plan, skewed)
+        with pytest.raises(ValueError, match="plan expects"):
+            polarized_flow(f, 0.5, plan, lifted_decomposition(5, 2))
+        oracle = capped_lorentzian_oracle()
+        for bad in (skewed, lifted_decomposition(5, 2)):
+            with pytest.raises(ValueError):
+                escape_time(f, oracle, bad)
+
+    def test_overflow_guard_on_the_chain_spectrum(self):
+        f = random_form_product(3, 3, np.random.default_rng(26))
+        gap = 1.0 - float(composition_chain(3, f.kappa).eigenvalues[-1])
+        with pytest.raises(FlowOverflowError):
+            polarized_flow(f, -701.0 / gap)
+        polarized_flow(f, -600.0 / gap)
+
+    def test_builds_no_dense_decomposition(self, dense_builds, tmp_path, capsys):
+        f = polarized_flow(random_form_product(4, 4, np.random.default_rng(16)), 0.3)
+        polarized_flow(f, 0.5)
+        res = escape_time(f, capped_lorentzian_oracle())
+        assert res.sigma > 0.0
+        assert res.ball_point.size == math.comb(16, 4) - 1
+        path = tmp_path / "capped.json"
+        pio.save_poly(f, path)
+        assert cli.main(["flow", "--polarized", "--input", str(path), "--times", "0,0.5,-0.1"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4
+        assert dense_builds == []
+
+    def test_escape_matches_the_lifted_stepper(self):
+        """The ball map reads the anchor in the lifted frame, with or
+        without a lifted decomposition handed in."""
+        f = polarized_flow(random_form_product(2, 3, np.random.default_rng(27)), 0.3)
+        plan = PolarizationPlan(2, 3, f.kappa)
+        oracle = capped_lorentzian_oracle()
+        res = escape_time(f, oracle)
+        again = escape_time(f, oracle, lifted_decomposition(plan.lifted_n, 3), plan=plan)
+        assert res.sigma == again.sigma
+        assert np.array_equal(res.ball_point, again.ball_point)
+        h = ball_coordinates(stable_center(2, 3), oracle)
+        assert np.array_equal(h, np.zeros(plan.lifted_basis.size - 1))

@@ -283,6 +283,27 @@ class TestPlumbing:
         with pytest.raises(ValueError):
             HomPoly(2, 2, (2, 0), {(1, 1): 1.0})
 
+    def test_hom_validation_names_the_first_offender(self):
+        nan = float("nan")
+        cases = [
+            ({(1, 1): nan, (1,): 1.0}, "coefficients must be finite"),
+            ({(1, 1): 1.0, (1,): 1.0, (3, -1): 1.0}, r"bad exponent vector \(1,\)"),
+            ({(1, 1): 1.0, (-1, 3): 1.0}, r"bad exponent vector \(-1, 3\)"),
+            ({(2, 0): 1.0, (0, 1): 1.0, (3, 0): nan}, r"exponent \(0, 1\) does not have total degree 2"),
+            ({(1, 1): 1.0, (0, 2): 1.0}, r"exponent \(0, 2\) exceeds caps \(2, 1\)"),
+        ]
+        for terms, message in cases:
+            with pytest.raises(ValueError, match=message):
+                HomPoly(2, 2, (2, 1), terms)
+
+    def test_hom_terms_sum_and_clean(self):
+        f = HomPoly(2, 2, (2, 2), {(1, 1): 1.0, (1.5, 1): 2, (0, 2): -0.0, (2, 0): np.float64(0.5)})
+        assert list(f.terms.items()) == [((1, 1), 3.0), ((0, 2), 0.0), ((2, 0), 0.5)]
+        assert math.copysign(1.0, f.terms[(0, 2)]) == 1.0
+        assert all(type(c) is float for c in f.terms.values())
+        assert all(type(a) is int for alpha in f.terms for a in alpha)
+        assert HomPoly(2, 2, (2, 2), {}).terms == {}
+
     def test_normalize_rejects_nonpositive_mass(self):
         with pytest.raises(ValueError):
             normalize_at_ones(MultiAffinePoly(subset_basis(2, 1), [1.0, -1.0]))
