@@ -62,7 +62,6 @@ from .ballmap import (
     EscapeTimeResult,
     InfiniteEscape,
     MembershipOracle,
-    ball_coordinates,
     capped_lorentzian_oracle,
     escape_time,
     multiaffine_lorentzian_oracle,

@@ -28,7 +28,7 @@ from .certify import (
     certify_multiaffine,
     certify_stable,
 )
-from .poly import HomPoly, MultiAffinePoly
+from .poly import HomPoly
 from .polarization import (
     PolarizationPlan,
     _check_lifted,
@@ -129,18 +129,16 @@ def _make_stepper(f, dec: SpectralDecomposition | None, plan: PolarizationPlan |
             return polarize_up(g, plan).coeffs
 
         return flow_by, frame, composition_chain(plan.d, plan.kappa).eigenvalues
-    if isinstance(f, MultiAffinePoly):
-        if dec is None:
-            raise ValueError("a spectral decomposition is required for multiaffine flows")
+    if dec is None:
+        raise ValueError("a spectral decomposition is required for multiaffine flows")
 
-        def flow_by(g, s):
-            return flow(g, s, dec)
+    def flow_by(g, s):
+        return flow(g, s, dec)
 
-        def frame(g):
-            return g.coeffs
+    def frame(g):
+        return g.coeffs
 
-        return flow_by, frame, dec.eigenvalues
-    raise TypeError(f"unsupported polynomial type {type(f)!r}")
+    return flow_by, frame, dec.eigenvalues
 
 
 def escape_time(
@@ -187,25 +185,6 @@ def escape_time(
     ball_point = math.exp(-sigma) * direction
     ball_point.flags.writeable = False
     return EscapeTimeResult(sigma, anchor, ball_point, True, hi - lo)
-
-
-def ball_coordinates(
-    f,
-    oracle: MembershipOracle,
-    dec: SpectralDecomposition | None = None,
-    s_max: float = 50.0,
-    tol: float = 1e-8,
-    plan: PolarizationPlan | None = None,
-) -> np.ndarray:
-    """Candidate ball coordinate of a member: zero at the fixed point,
-    exp(-sigma) times the anchor direction elsewhere; unit norm exactly on
-    the boundary."""
-    _, frame, _ = _make_stepper(f, dec, plan)
-    c = frame(f)
-    if _centered_norm(c) < CENTER_EPS:
-        return np.zeros(c.size - 1)
-    result = escape_time(f, oracle, dec, s_max=s_max, tol=tol, plan=plan)
-    return result.ball_point
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,6 @@ lexicographic order of their exponent (for multiaffine inputs, subsets in
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -45,7 +44,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .poly import HomPoly, MultiAffinePoly, exponent_code, restrict_lines
+from .poly import HomPoly, MultiAffinePoly, exponent_code, exponent_table, restrict_lines
+from .polarization import _lift_values
 from .strata import exchange_violation
 
 DEFAULT_TOL = 1e-9
@@ -132,7 +132,6 @@ class _Table(NamedTuple):
     radix: np.ndarray  # (n,) place values of the exponent code
     base: np.ndarray  # (n,) digit bases, min(kappa_i, d) + 1
     codes: np.ndarray  # (N,) codes of the degree-d exponents, ascending
-    binom: np.ndarray | None  # (n, N) C(kappa_i, alpha_i); None at kappa = 1^n
     betas: np.ndarray  # codes of the betas, descending lexicographic
     width: int  # largest size of Q_beta
     upper: tuple  # (iu, ju): the stored entries of a width x width matrix
@@ -152,11 +151,10 @@ def _table(n: int, d: int, kappa: tuple) -> _Table:
     """Where the block-quotient Hessians of a capped polynomial sit in its
     coefficient vector g, built with no Python loop over exponents.
 
-    g follows the ascending order of ``poly.exponent_code``, which is
-    colex order, at kappa = 1^n the order of ``SubsetBasis``, and a
-    trailing zero stands for every exponent past the caps. The code is
-    additive, so every entry of every Q_beta is found by one broadcast sum
-    and one ``searchsorted``.
+    g follows the order of ``poly.exponent_table``, the order of every
+    coefficient vector, and a trailing zero stands for every exponent
+    past the caps. The code is additive, so every entry of every Q_beta
+    is found by one broadcast sum and one ``searchsorted``.
 
     The lift gives every lifted subset of composition alpha the
     coefficient g(alpha) = c_alpha / prod_i C(kappa_i, alpha_i). The
@@ -180,7 +178,8 @@ def _table(n: int, d: int, kappa: tuple) -> _Table:
     spectrum, and its first k entries, where eig(Q_beta) goes, read the
     trailing zero.
     """
-    radix, base, alphas, betas = exponent_code(kappa, d, d, d - 2)
+    alphas = exponent_table(d, kappa).codes
+    radix, base, betas = exponent_code(kappa, d, d - 2)
     top = math.prod(base.tolist())
     B = (betas[:, None] // radix) % base
     m = np.array(kappa, dtype=np.int64) - B
@@ -198,10 +197,7 @@ def _table(n: int, d: int, kappa: tuple) -> _Table:
         ok[iu == ju] = mv > 1
     dtype = np.min_scalar_type(alphas.size)
     index = np.where(ok, np.searchsorted(alphas, betas + rv[iu] + rv[ju]), alphas.size).astype(dtype)
-    binom = scale = rest = None
-    if any(k > 1 for k in kappa):
-        comb = np.array([[math.comb(k, a) for a in range(d + 1)] for k in kappa], dtype=float)
-        binom = np.take_along_axis(comb, ((alphas[:, None] // radix) % base).T, axis=1)
+    scale = rest = None
     if diagonal:
         mi, mj = mv[iu].astype(float), mv[ju].astype(float)
         scale = np.where((iu == ju)[:, None], mi - 1, np.sqrt(mi * mj))
@@ -215,7 +211,7 @@ def _table(n: int, d: int, kappa: tuple) -> _Table:
     order = np.argsort(B @ (top // (radix * base)))[::-1]
     code = np.min_scalar_type(top - 1)
     table = _Table(
-        radix, base, alphas.astype(code), binom, betas[order].astype(code), width,
+        radix, base, alphas.astype(code), betas[order].astype(code), width,
         (iu, ju), index.T[order],
         None if np.all(size == width) else size[order].astype(np.uint8),
         None if scale is None else scale.T[order],
@@ -343,16 +339,8 @@ def certify_hom(f: HomPoly, tol: float = DEFAULT_TOL) -> Verdict:
     (alpha, beta, i) as ``exponent_one``, ``exponent_two`` and ``element``.
     """
     _check_normalized(f)
-    table = _table(f.n, f.d, f.kappa)
-    g = np.zeros(table.codes.size + 1)
-    alphas = np.fromiter(itertools.chain.from_iterable(f.terms), np.int64, len(f.terms) * f.n).reshape(-1, f.n)
-    g[np.searchsorted(table.codes, (alphas @ table.radix).astype(table.codes.dtype))] = list(f.terms.values())
-    if table.binom is not None:
-        # one division per variable, in the lift's order, so that g is the
-        # lift's coefficients to the last bit
-        for row in table.binom:
-            g[:-1] /= row
-    return _lorentzian(g, table, tol, ("exponent", "exponent_one", "exponent_two"), list)
+    g = np.append(_lift_values(f), 0.0)
+    return _lorentzian(g, _table(f.n, f.d, f.kappa), tol, ("exponent", "exponent_one", "exponent_two"), list)
 
 
 # root classes by the codes that _root_classes returns
@@ -443,15 +431,6 @@ def sample_sphere_sumzero(n: int, count: int, seed: int) -> np.ndarray:
     return out
 
 
-def _coefficient_items(f):
-    """Coefficients in the order witnesses report (basis order, or
-    lexicographic for a capped f) and the exponent at a position."""
-    if isinstance(f, MultiAffinePoly):
-        return f.coeffs, lambda k: [int(i in f.basis.subsets[k]) for i in range(f.n)]
-    items = sorted(f.terms.items())
-    return np.array([c for _, c in items]), lambda k: list(items[k][0])
-
-
 def certify_stable(
     f,
     directions: int = DEFAULT_DIRECTIONS,
@@ -465,19 +444,23 @@ def certify_stable(
     unit sphere and classifies each restriction's roots. A restriction
     with genuinely complex roots is a conclusive rejection; otherwise the
     verdict is strict when every sampled restriction has distinct real
-    roots and every coefficient clears the tolerance.
+    roots and the coefficient of every exponent alpha <= kappa of degree
+    d clears the tolerance. A negative coefficient's witness is the first
+    in code order, for a capped f the lexicographically first.
     """
     _check_normalized(f)
-    values, exponent = _coefficient_items(f)
-    negative = np.flatnonzero(values < -tol)
+    exponents = f.table.digits
+    negative = np.flatnonzero(f.coeffs < -tol)
     if negative.size:
+        if isinstance(f, HomPoly):
+            negative = negative[np.lexsort(exponents[negative].T[::-1])]
         k = int(negative[0])
         return Verdict(
             VerdictStatus.REJECTED,
-            {"kind": "negative_coefficient", "exponent": exponent(k), "value": float(values[k])},
+            {"kind": "negative_coefficient", "exponent": exponents[k].tolist(), "value": float(f.coeffs[k])},
             tol,
         )
-    strict_coeffs = bool(np.all(values > tol))
+    strict_coeffs = bool(np.all(f.coeffs > tol))
     if f.n < 2 or f.d < 2:
         # univariate homogeneous (a single monomial) and linear cases are
         # stable outright; only the coefficient margin distinguishes

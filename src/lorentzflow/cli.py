@@ -26,7 +26,7 @@ from .certify import (
     certify_multiaffine,
     certify_stable,
 )
-from .poly import HomPoly, MultiAffinePoly, compositions, normalize_at_ones, subset_basis
+from .poly import HomPoly, MultiAffinePoly, normalize_at_ones, subset_basis
 from .polarization import PolarizationPlan, polarize_up, polarized_flow, project_down
 from .sep import (
     TranspositionRates,
@@ -109,56 +109,30 @@ def cmd_certify(args) -> int:
     return 2 if verdict.status is VerdictStatus.REJECTED else 0
 
 
-def _flow_rows_multiaffine(f, args):
-    rates = _load_rates(args, f.n)
-    dec = spectral(build_generator(f.basis, rates))
-    oracle = bm.multiaffine_lorentzian_oracle(args.tol)
-    labels = ["_".join(str(1 if i in s else 0) for i in range(f.n)) for s in f.basis.subsets]
-    rows = []
-    for sample in bm.trajectory(f, dec, _parse_times(args.times), oracle):
-        rows.append(
-            [sample.time]
-            + [float(c) for c in sample.poly.coeffs]
-            + [sample.centered_norm, sample.verdict.status.value]
-        )
-    return labels, rows
-
-
-def _flow_rows_polarized(f, args):
-    if getattr(args, "rates_file", None):
-        raise ValueError("--polarized flows use uniform rates on the lifted variables")
-    if isinstance(f, MultiAffinePoly):
-        f = f.to_hom()
-    oracle = (
-        bm.stable_oracle(args.directions, args.seed, args.tol)
-        if args.oracle == "stable"
-        else bm.capped_lorentzian_oracle(args.tol)
-    )
-    alphas = sorted(compositions(f.d, f.n, caps=f.kappa))
-    labels = ["_".join(str(a) for a in alpha) for alpha in alphas]
-    rows = []
-    for sample in bm.trajectory(f, None, _parse_times(args.times), oracle):
-        rows.append(
-            [sample.time]
-            + [sample.poly.coefficient(alpha) for alpha in alphas]
-            + [sample.centered_norm, sample.verdict.status.value]
-        )
-    return labels, rows
-
-
 def cmd_flow(args) -> int:
     f = normalize_at_ones(pio.load_poly(args.input))
     if args.polarized:
-        labels, rows = _flow_rows_polarized(f, args)
+        if getattr(args, "rates_file", None):
+            raise ValueError("--polarized flows use uniform rates on the lifted variables")
+        f, dec = f.to_hom(), None
+        oracle = (
+            bm.stable_oracle(args.directions, args.seed, args.tol)
+            if args.oracle == "stable"
+            else bm.capped_lorentzian_oracle(args.tol)
+        )
+        # capped columns go in lexicographic order of the exponents
+        order = np.lexsort(f.table.digits.T[::-1])
     else:
         if not isinstance(f, MultiAffinePoly):
             raise ValueError("input is not multiaffine; use --polarized for capped flows")
-        labels, rows = _flow_rows_multiaffine(f, args)
+        dec = spectral(build_generator(f.basis, _load_rates(args, f.n)))
+        oracle = bm.multiaffine_lorentzian_oracle(args.tol)
+        order = slice(None)
+    labels = ["_".join(map(str, alpha)) for alpha in f.table.digits[order].tolist()]
     lines = ["time," + ",".join(f"c_{l}" for l in labels) + ",centered_norm,verdict"]
-    for row in rows:
-        lines.append(
-            ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row)
-        )
+    for sample in bm.trajectory(f, dec, _parse_times(args.times), oracle):
+        row = [sample.time] + sample.poly.coeffs[order].tolist() + [sample.centered_norm]
+        lines.append(",".join(map(_fmt, row)) + "," + sample.verdict.status.value)
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 
@@ -182,8 +156,6 @@ def cmd_spectrum(args) -> int:
 def cmd_polarize(args) -> int:
     f = pio.load_poly(args.input)
     if args.direction == "up":
-        if isinstance(f, MultiAffinePoly):
-            f = f.to_hom()
         if args.kappa:
             f = HomPoly(f.n, f.d, _parse_kappa(args.kappa), f.terms)
         out = polarize_up(f)
@@ -208,8 +180,7 @@ def cmd_ballmap(args) -> int:
         dec = uniform_decomposition(f.n, f.d)
         oracle = bm.multiaffine_lorentzian_oracle(args.tol)
     else:
-        if isinstance(f, MultiAffinePoly):
-            f = f.to_hom()
+        f = f.to_hom()
         dec = None
         if args.space == "stable":
             _announce_seed(args.seed)
@@ -256,7 +227,7 @@ def cmd_sample(args) -> int:
             g = smp.random_disjoint_form_product(subset_basis(args.n, args.d), rng)
             if args.interior > 0.0:
                 g = flow(g, args.interior, uniform_decomposition(args.n, args.d))
-            check = certify_stable(g.to_hom())
+            check = certify_stable(g)
         else:
             g = smp.random_form_product(args.n, args.d, rng)
             if args.interior > 0.0:

@@ -21,24 +21,10 @@ from .strata import StratumReport
 
 
 def poly_to_obj(f) -> dict:
-    if isinstance(f, MultiAffinePoly):
-        terms = []
-        for subset, c in zip(f.basis.subsets, f.coeffs):
-            if c != 0.0:
-                exponent = [0] * f.n
-                for i in subset:
-                    exponent[i] = 1
-                terms.append({"exponent": exponent, "coeff": float(c)})
-        terms.sort(key=lambda t: t["exponent"])
-        return {"n": f.n, "d": f.d, "terms": terms}
+    obj = {"n": f.n, "d": f.d, "terms": [{"exponent": list(a), "coeff": c} for a, c in sorted(f.terms.items())]}
     if isinstance(f, HomPoly):
-        terms = [
-            {"exponent": list(alpha), "coeff": float(c)}
-            for alpha, c in sorted(f.terms.items())
-            if c != 0.0
-        ]
-        return {"n": f.n, "d": f.d, "kappa": list(f.kappa), "terms": terms}
-    raise TypeError(f"unsupported polynomial type {type(f)!r}")
+        obj["kappa"] = list(f.kappa)
+    return obj
 
 
 def obj_to_poly(obj: dict):
@@ -58,12 +44,7 @@ def obj_to_poly(obj: dict):
         terms[alpha] = terms.get(alpha, 0.0) + coeff
     kappa = obj.get("kappa")
     if kappa is None and all(all(a in (0, 1) for a in alpha) for alpha in terms):
-        basis = subset_basis(n, d)
-        coeffs = [0.0] * basis.size
-        for alpha, c in terms.items():
-            subset = tuple(i for i, a in enumerate(alpha) if a)
-            coeffs[basis.rank(subset)] += c
-        return MultiAffinePoly(basis, coeffs)
+        return MultiAffinePoly(subset_basis(n, d), HomPoly(n, d, (1,) * n, terms).coeffs)
     if kappa is None:
         kappa = [max(1, max((alpha[i] for alpha in terms), default=1)) for i in range(n)]
     return HomPoly(n, d, tuple(int(k) for k in kappa), terms)

@@ -23,15 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .poly import (
-    HomPoly,
-    MultiAffinePoly,
-    MAX_VARS,
-    _subset_table,
-    compositions,
-    exponent_code,
-    subset_basis,
-)
+from .poly import HomPoly, MultiAffinePoly, MAX_VARS, exponent_table, subset_basis
 from .sep import SpectralDecomposition, _checked_spectrum, _decay_factors, uniform_decomposition
 
 
@@ -70,68 +62,71 @@ class PolarizationPlan:
 
 
 @lru_cache(maxsize=32)
-def _lift(d: int, kappa: tuple):
-    """The exponent code of the caps at degree d (``exponent_code``), the
-    ascending codes of its degree-d exponents, their binomials
-    C(kappa_i, alpha_i) (n, N), and, for every lifted subset in colex
-    order, the position of its composition among those codes. A lifted
-    subset's composition counts its elements per block, so its code is
-    the sum of its elements' place values. All read-only."""
-    radix, base, codes = exponent_code(kappa, d, d)
-    alphas = (codes[:, None] // radix) % base
+def _binomials(d: int, kappa: tuple) -> np.ndarray:
+    """C(kappa_i, alpha_i), shape (n, N), over the exponents of
+    ``exponent_table(d, kappa)``: the number of ways block i picks alpha_i
+    of its variables. Read-only."""
     comb = np.array([[math.comb(k, a) for a in range(d + 1)] for k in kappa], dtype=float)
-    binom = np.take_along_axis(comb, alphas.T, axis=1)
-    index = np.searchsorted(codes, np.repeat(radix, kappa)[_subset_table(sum(kappa), d)].sum(axis=1))
-    for arr in (radix, alphas, codes, binom, index):
-        arr.flags.writeable = False
-    return radix, alphas, codes, binom, index
+    binom = np.take_along_axis(comb, exponent_table(d, kappa).digits.T, axis=1)
+    binom.flags.writeable = False
+    return binom
 
 
-def _term_vector(f: HomPoly, plan: PolarizationPlan) -> np.ndarray:
-    """The coefficients of f on the degree-d exponents of the plan's
-    caps, in ascending code order."""
+def _lift_values(f) -> np.ndarray:
+    """The coefficient g(alpha) = c_alpha / prod_i C(kappa_i, alpha_i)
+    that the lift gives every lifted subset of composition alpha, in code
+    order, divided one variable at a time so that every caller gets the
+    same bits. At kappa = 1^n every binomial is 1 and g is f's own
+    read-only vector."""
+    if max(f.kappa) == 1:
+        return f.coeffs
+    g = f.coeffs.copy()
+    for row in _binomials(f.d, f.kappa):
+        g /= row
+    return g
+
+
+@lru_cache(maxsize=32)
+def _lift(d: int, kappa: tuple) -> np.ndarray:
+    """For every lifted subset in colex order, the position of its
+    composition in ``exponent_table(d, kappa)``. A lifted subset's
+    composition counts its elements per block, so its code is the sum of
+    its elements' place values. Read-only."""
+    table = exponent_table(d, kappa)
+    lifted = exponent_table(d, (1,) * sum(kappa)).factors
+    index = np.searchsorted(table.codes, np.repeat(table.radix, kappa)[lifted].sum(axis=1))
+    index.flags.writeable = False
+    return index
+
+
+def _on_plan(f, plan: PolarizationPlan):
+    """f with the plan's caps."""
     if plan.n != f.n or plan.d != f.d:
         raise ValueError(f"plan {plan!r} does not match polynomial {f!r}")
-    radix, _, codes, _, _ = _lift(plan.d, plan.kappa)
-    alphas = np.array(list(f.terms), dtype=np.int64).reshape(-1, f.n)
-    over = np.flatnonzero((alphas > plan.kappa).any(axis=1))
-    if over.size:
-        raise ValueError(f"exponent {tuple(alphas[over[0]].tolist())} exceeds caps {plan.kappa}")
-    c = np.zeros(codes.size)
-    c[np.searchsorted(codes, alphas @ radix)] = list(f.terms.values())
-    return c
+    return f if f.kappa == plan.kappa else HomPoly(plan.n, plan.d, plan.kappa, f.terms)
 
 
 def polarize_up(f: HomPoly, plan: PolarizationPlan | None = None) -> MultiAffinePoly:
     """Lift a capped polynomial to the multiaffine polynomial that is
-    symmetric within each block. Each term's coefficient, divided by
-    prod_i C(kappa_i, alpha_i) one variable at a time, goes to every
-    lifted subset that picks the term's exponent from each block: one
-    gather over the lifted basis."""
+    symmetric within each block: every lifted subset gets the lift's
+    coefficient of its composition (``_lift_values``), one gather over
+    the lifted basis."""
     if plan is None:
         plan = PolarizationPlan(f.n, f.d, f.kappa)
-    g = _term_vector(f, plan)
-    _, _, _, binom, index = _lift(plan.d, plan.kappa)
-    for row in binom:
-        g /= row
-    return MultiAffinePoly(plan.lifted_basis, g[index])
+    g = _lift_values(_on_plan(f, plan))
+    return MultiAffinePoly(plan.lifted_basis, g[_lift(plan.d, plan.kappa)])
 
 
 def project_down(g: MultiAffinePoly, plan: PolarizationPlan) -> HomPoly:
     """Substitute every block variable back to its owner: the coefficient
     of a lifted subset lands on the exponent vector counting how many of
     its elements each block contributed. One ``np.bincount`` sums the
-    nonzero lifted coefficients per composition in basis order; the terms
-    come in the order of each composition's first nonzero subset."""
+    lifted coefficients per composition in basis order."""
     if g.basis != plan.lifted_basis:
         raise ValueError(f"polynomial lives on {g.basis!r}, plan expects {plan.lifted_basis!r}")
-    _, alphas, codes, _, index = _lift(plan.d, plan.kappa)
-    live = np.flatnonzero(g.coeffs)
-    pos = index[live]
-    sums = np.bincount(pos, weights=g.coeffs[live], minlength=codes.size)
-    _, first = np.unique(pos, return_index=True)
-    order = pos[np.sort(first)]
-    return HomPoly(plan.n, plan.d, plan.kappa, dict(zip(map(tuple, alphas[order].tolist()), sums[order].tolist())))
+    index = _lift(plan.d, plan.kappa)
+    sums = np.bincount(index, weights=g.coeffs, minlength=exponent_table(plan.d, plan.kappa).codes.size)
+    return HomPoly._from_coeffs(plan.n, plan.d, plan.kappa, sums)
 
 
 @lru_cache(maxsize=32)
@@ -145,14 +140,12 @@ def lifted_decomposition(lifted_n: int, d: int) -> SpectralDecomposition:
 class CompositionChain(NamedTuple):
     """The lifted uniform flow on block-symmetric vectors, as a chain on
     the degree-d exponents alpha <= kappa in code order: ``weights`` are
-    sqrt(prod_i C(kappa_i, alpha_i)), the chain's symmetrized matrix is
-    ``vectors`` diag(``eigenvalues``) ``vectors``^T, and ``exponents``
-    are the states as tuples. All read-only."""
+    sqrt(prod_i C(kappa_i, alpha_i)) and the chain's symmetrized matrix
+    is ``vectors`` diag(``eigenvalues``) ``vectors``^T. All read-only."""
 
     weights: np.ndarray
     eigenvalues: np.ndarray
     vectors: np.ndarray
-    exponents: tuple
 
 
 @lru_cache(maxsize=32)
@@ -169,7 +162,8 @@ def composition_chain(d: int, kappa: tuple) -> CompositionChain:
     the product of the two opposite rates, an integer product that is the
     same bit for bit from either side. One gather per ordered block pair
     fills it, and ``_checked_spectrum`` decomposes it with mass sqrt(w)."""
-    radix, alphas, codes, binom, _ = _lift(d, kappa)
+    radix, _, codes, digits, _ = exponent_table(d, kappa)
+    alphas = digits.astype(np.int64)
     caps = np.array(kappa, dtype=np.int64)
     total = int(caps.sum())
     if total < 2:
@@ -185,11 +179,11 @@ def composition_chain(d: int, kappa: tuple) -> CompositionChain:
     # pairs inside the subset, outside it, or inside one block stay put
     stay = math.comb(d, 2) + math.comb(total - d, 2) + (alphas * free).sum(axis=1)
     A[np.diag_indices(codes.size)] = stay / pairs
-    weights = np.sqrt(binom.prod(axis=0))
+    weights = np.sqrt(_binomials(d, kappa).prod(axis=0))
     eigenvalues, vectors = _checked_spectrum(A, weights)
     for arr in (weights, eigenvalues, vectors):
         arr.flags.writeable = False
-    return CompositionChain(weights, eigenvalues, vectors, tuple(map(tuple, alphas.tolist())))
+    return CompositionChain(weights, eigenvalues, vectors)
 
 
 def _check_lifted(dec: SpectralDecomposition | None, plan: PolarizationPlan) -> None:
@@ -220,9 +214,9 @@ def polarized_flow(
     _check_lifted(dec, plan)
     chain = composition_chain(plan.d, plan.kappa)
     V = chain.vectors
-    x = V.T @ (_term_vector(f, plan) / chain.weights)
+    x = V.T @ (_on_plan(f, plan).coeffs / chain.weights)
     c = chain.weights * (V @ (_decay_factors(s, chain.eigenvalues) * x))
-    return HomPoly(plan.n, plan.d, plan.kappa, dict(zip(chain.exponents, c.tolist())))
+    return HomPoly._from_coeffs(plan.n, plan.d, plan.kappa, c)
 
 
 def stable_center(n: int, d: int) -> HomPoly:
@@ -235,11 +229,5 @@ def stable_center(n: int, d: int) -> HomPoly:
         raise ValueError(f"degree must be at least 1, got {d}")
     if n < 1 or n * d > MAX_VARS:
         raise ValueError(f"n*d = {n * d} outside 1..{MAX_VARS}")
-    denom = math.comb(n * d, d)
-    terms = {}
-    for alpha in compositions(d, n, caps=(d,) * n):
-        num = 1
-        for a in alpha:
-            num *= math.comb(d, a)
-        terms[alpha] = num / denom
-    return HomPoly(n, d, (d,) * n, terms)
+    kappa = (d,) * n
+    return HomPoly._from_coeffs(n, d, kappa, _binomials(d, kappa).prod(axis=0) / math.comb(n * d, d))

@@ -3,12 +3,14 @@ homogeneous polynomials, and the operations everything else consumes.
 
 Conventions
 -----------
-Variables are indexed 0..n-1. A multiaffine monomial is identified with
-the subset of variables it contains; the basis of degree-d multiaffine
-monomials is ordered colexicographically. Capped polynomials store a
-sparse map from exponent vectors (integer tuples summing to the degree)
-to coefficients. Univariate restriction coefficients are returned in
-ascending order, constant term first.
+Variables are indexed 0..n-1. Every polynomial, multiaffine or capped,
+stores one read-only float vector of coefficients over the degree-d
+exponents alpha <= kappa, in ascending ``exponent_code`` order, which is
+colex order; ``exponent_table`` lays those exponents out once per
+(d, kappa). A multiaffine polynomial is the case kappa = 1^n: a
+monomial is identified with the subset of variables it contains, and
+the order is that of ``SubsetBasis``. Univariate restriction
+coefficients are returned in ascending order, constant term first.
 
 All polynomial objects are immutable after construction; every operation
 returns a new object, so instances are safe to share across threads.
@@ -19,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,293 +96,6 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-class MultiAffinePoly:
-    """Homogeneous multiaffine polynomial, dense on a SubsetBasis.
-
-    f(w) = sum over d-subsets S of coeffs[rank(S)] * prod_{i in S} w_i.
-    """
-
-    __slots__ = ("basis", "coeffs")
-
-    def __init__(self, basis: SubsetBasis, coeffs):
-        c = np.array(coeffs, dtype=float)
-        if c.shape != (basis.size,):
-            raise ValueError(
-                f"coefficient vector has shape {c.shape}, basis needs ({basis.size},)"
-            )
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coefficients must be finite")
-        self.basis = basis
-        self.coeffs = _freeze(c)
-
-    @property
-    def n(self) -> int:
-        return self.basis.n
-
-    @property
-    def d(self) -> int:
-        return self.basis.d
-
-    def coefficient(self, subset) -> float:
-        return float(self.coeffs[self.basis.rank(subset)])
-
-    def evaluate(self, point) -> float:
-        p = np.asarray(point, dtype=float)
-        if p.shape != (self.n,):
-            raise ValueError(f"point has shape {p.shape}, expected ({self.n},)")
-        total = 0.0
-        for subset, a in zip(self.basis.subsets, self.coeffs):
-            if a != 0.0:
-                total += a * float(np.prod(p[list(subset)])) if subset else a
-        return float(total)
-
-    def value_at_ones(self) -> float:
-        return float(self.coeffs.sum())
-
-    def derivative(self, subset) -> "MultiAffinePoly":
-        """Iterated partial derivative with respect to every variable in
-        ``subset``; the result never involves those variables again."""
-        s = tuple(sorted(set(subset)))
-        if any(i < 0 or i >= self.n for i in s):
-            raise ValueError(f"{subset} is not a subset of 0..{self.n - 1}")
-        if len(s) > self.d:
-            raise ValueError(f"cannot take {len(s)} derivatives of a degree-{self.d} polynomial")
-        out_basis = subset_basis(self.n, self.d - len(s))
-        sset = set(s)
-        out = np.zeros(out_basis.size)
-        for j, t in enumerate(out_basis.subsets):
-            if sset.isdisjoint(t):
-                out[j] = self.coeffs[self.basis.rank(s + t)]
-        return MultiAffinePoly(out_basis, out)
-
-    def restrict_line(self, direction) -> np.ndarray:
-        """Ascending coefficients of t -> f(t*ones - direction)."""
-        y = np.asarray(direction, dtype=float)
-        if y.shape != (self.n,):
-            raise ValueError(f"direction has shape {y.shape}, expected ({self.n},)")
-        return restrict_lines(self, y[None])[0]
-
-    def support(self, tol: float = 1e-12):
-        """Subsets whose coefficient exceeds tol relative to the largest."""
-        scale = float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
-        cut = tol * scale
-        return tuple(
-            s for s, a in zip(self.basis.subsets, self.coeffs) if abs(a) > cut
-        )
-
-    def l2_norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-    def to_hom(self) -> "HomPoly":
-        terms = {}
-        for subset, a in zip(self.basis.subsets, self.coeffs):
-            if a != 0.0:
-                alpha = [0] * self.n
-                for i in subset:
-                    alpha[i] = 1
-                terms[tuple(alpha)] = float(a)
-        return HomPoly(self.n, self.d, (1,) * self.n, terms)
-
-    def __add__(self, other):
-        if not isinstance(other, MultiAffinePoly) or other.basis != self.basis:
-            return NotImplemented
-        return MultiAffinePoly(self.basis, self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        if not isinstance(other, MultiAffinePoly) or other.basis != self.basis:
-            return NotImplemented
-        return MultiAffinePoly(self.basis, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, (int, float)):
-            return NotImplemented
-        return MultiAffinePoly(self.basis, self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"MultiAffinePoly(n={self.n}, d={self.d}, nnz={int(np.count_nonzero(self.coeffs))})"
-
-
-class HomPoly:
-    """Homogeneous polynomial with per-variable degree caps, stored sparsely.
-
-    ``terms`` maps exponent tuples alpha (len n, sum d, alpha_i <= kappa_i)
-    to float coefficients.
-    """
-
-    __slots__ = ("n", "d", "kappa", "terms")
-
-    def __init__(self, n: int, d: int, kappa, terms):
-        if n <= 0:
-            raise ValueError(f"need at least one variable, got n={n}")
-        if n > MAX_VARS:
-            raise ValueError(f"n={n} exceeds the hard cap of {MAX_VARS} variables")
-        if d < 0:
-            raise ValueError(f"degree must be nonnegative, got {d}")
-        kappa = tuple(int(k) for k in kappa)
-        if len(kappa) != n or any(k < 1 for k in kappa):
-            raise ValueError(f"caps must be {n} positive integers, got {kappa}")
-        keys = list(terms)
-        # a key of the wrong length becomes a placeholder row, reported
-        # as a bad exponent vector
-        short = np.fromiter(map(len, keys), np.int64, len(keys)) != n
-        rows = [(0,) * n if bad else alpha for alpha, bad in zip(keys, short)] if short.any() else keys
-        try:
-            alphas = np.fromiter(itertools.chain.from_iterable(rows), np.int64, n * len(keys)).reshape(len(keys), n)
-        except OverflowError as exc:
-            raise ValueError(f"exponent out of range: {exc}") from exc
-        # adding 0.0 turns -0.0 into 0.0, as summing into an empty slot does
-        coeffs = np.fromiter(terms.values(), float, len(keys)) + 0.0
-        inside = (alphas >= 0) & (alphas <= np.array(kappa))
-        ok = ~short & inside.all(axis=1) & (alphas.sum(axis=1) == d) & np.isfinite(coeffs)
-        if not ok.all():
-            first = int(np.argmin(ok))
-            alpha = tuple(int(a) for a in keys[first])
-            if short[first] or min(alpha) < 0:
-                raise ValueError(f"bad exponent vector {alpha}")
-            if sum(alpha) != d:
-                raise ValueError(f"exponent {alpha} does not have total degree {d}")
-            if not inside[first].all():
-                raise ValueError(f"exponent {alpha} exceeds caps {kappa}")
-            raise ValueError("coefficients must be finite")
-        clean = dict(zip(map(tuple, alphas.tolist()), coeffs.tolist()))
-        if len(clean) < len(keys):
-            # keys that convert to the same exponent sum, in key order
-            clean = {}
-            for alpha, c in zip(map(tuple, alphas.tolist()), coeffs.tolist()):
-                clean[alpha] = clean.get(alpha, 0.0) + c
-        self.n = n
-        self.d = d
-        self.kappa = kappa
-        self.terms = clean
-
-    def coefficient(self, alpha) -> float:
-        return self.terms.get(tuple(int(a) for a in alpha), 0.0)
-
-    def evaluate(self, point) -> float:
-        p = np.asarray(point, dtype=float)
-        if p.shape != (self.n,):
-            raise ValueError(f"point has shape {p.shape}, expected ({self.n},)")
-        total = 0.0
-        for alpha, c in self.terms.items():
-            term = c
-            for x, a in zip(p, alpha):
-                if a:
-                    term *= x**a
-            total += term
-        return float(total)
-
-    def value_at_ones(self) -> float:
-        return float(sum(self.terms.values()))
-
-    def restrict_line(self, direction) -> np.ndarray:
-        """Ascending coefficients of t -> f(t*ones - direction)."""
-        y = np.asarray(direction, dtype=float)
-        if y.shape != (self.n,):
-            raise ValueError(f"direction has shape {y.shape}, expected ({self.n},)")
-        return restrict_lines(self, y[None])[0]
-
-    def support(self, tol: float = 1e-12):
-        scale = max((abs(c) for c in self.terms.values()), default=0.0)
-        cut = tol * scale
-        return tuple(sorted(a for a, c in self.terms.items() if abs(c) > cut))
-
-    def l2_norm(self) -> float:
-        return math.sqrt(sum(c * c for c in self.terms.values()))
-
-    def __add__(self, other):
-        if not isinstance(other, HomPoly) or (other.n, other.d) != (self.n, self.d):
-            return NotImplemented
-        kappa = tuple(max(a, b) for a, b in zip(self.kappa, other.kappa))
-        terms = dict(self.terms)
-        for alpha, c in other.terms.items():
-            terms[alpha] = terms.get(alpha, 0.0) + c
-        return HomPoly(self.n, self.d, kappa, terms)
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, (int, float)):
-            return NotImplemented
-        s = float(scalar)
-        return HomPoly(self.n, self.d, self.kappa, {a: c * s for a, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"HomPoly(n={self.n}, d={self.d}, kappa={self.kappa}, nterms={len(self.terms)})"
-
-
-def elementary_symmetric(n: int, d: int) -> MultiAffinePoly:
-    """Sum of all degree-d squarefree monomials in n variables."""
-    basis = subset_basis(n, d)
-    return MultiAffinePoly(basis, np.ones(basis.size))
-
-
-def normalize_at_ones(f):
-    """Rescale so the value at the all-ones point is exactly 1."""
-    v = f.value_at_ones()
-    if v <= 0.0:
-        raise ValueError(f"cannot normalize: value at the all-ones point is {v}")
-    return f * (1.0 / v)
-
-
-# working-set cap of one block of restrict_lines, in float64 entries
-_LINE_BLOCK_ENTRIES = 1 << 15
-
-
-@lru_cache(maxsize=None)
-def _subset_table(n: int, d: int) -> np.ndarray:
-    """(C(n,d), d) variable indices of the colex basis, one row a subset."""
-    basis = subset_basis(n, d)
-    return _freeze(np.array(basis.subsets, dtype=np.uint8).reshape(basis.size, d))
-
-
-def _line_terms(f):
-    """Nonzero coefficients of f and, per term, the variable indices of its
-    factors (t - y_i): a subset is its own row, and an exponent alpha
-    repeats index i alpha_i times."""
-    if isinstance(f, MultiAffinePoly):
-        keep = f.coeffs != 0.0
-        return f.coeffs[keep], _subset_table(f.n, f.d)[keep]
-    if isinstance(f, HomPoly):
-        items = [(alpha, c) for alpha, c in f.terms.items() if c != 0.0]
-        rows = [[i for i, a in enumerate(alpha) for _ in range(a)] for alpha, _ in items]
-        idx = np.array(rows, dtype=np.intp).reshape(len(items), f.d)
-        return np.array([c for _, c in items]), idx
-    raise TypeError(f"unsupported polynomial type {type(f)!r}")
-
-
-def restrict_lines(f, directions) -> np.ndarray:
-    """Ascending coefficients of t -> f(t*ones - y) for every row y of
-    ``directions``, shape (D, d+1).
-
-    Works through blocks of directions; within a block every term's
-    factors (t - y_i) are multiplied in, for all terms and directions at
-    once, in the order of the term's variable indices, and then the terms
-    are summed. Working memory is bounded by the block size, not by D.
-    """
-    Y = np.asarray(directions, dtype=float)
-    if Y.ndim != 2 or Y.shape[1] != f.n:
-        raise ValueError(f"directions have shape {Y.shape}, expected (D, {f.n})")
-    a, idx = _line_terms(f)
-    d = f.d
-    out = np.zeros((Y.shape[0], d + 1))
-    if a.size == 0:
-        return out
-    step = max(1, _LINE_BLOCK_ENTRIES // (a.size * (d + 1)))
-    for lo in range(0, Y.shape[0], step):
-        yt = np.ascontiguousarray(Y[lo : lo + step].T)  # (n, block)
-        # P[j] holds the t^j coefficient of every term in every direction
-        P = np.zeros((d + 1, a.size, yt.shape[1]))
-        P[0] = a[:, None]
-        for k in range(d):
-            y = yt[idx[:, k]]
-            P[1 : k + 2] = P[: k + 1] - y * P[1 : k + 2]
-            P[0] *= -y
-        out[lo : lo + step] = P.sum(axis=1).T
-    return out
-
-
 def exponent_code(caps, d: int, *degrees):
     """The mixed-radix code of exponent vectors alpha <= caps of degree at
     most d: alpha has the code sum_i alpha_i r_i, with r_0 = 1 and
@@ -404,6 +120,275 @@ def exponent_code(caps, d: int, *degrees):
         codes, sums = (r * digit + codes).ravel(), (digit + sums).ravel()
         codes, sums = codes[sums <= highest], sums[sums <= highest]
     return (radix, base, *(codes[sums == k] for k in degrees))
+
+
+class ExponentTable(NamedTuple):
+    """The degree-d exponents alpha <= kappa in ascending code order, as
+    built by ``exponent_table``. All read-only."""
+
+    radix: np.ndarray  # (n,) place values of the exponent code
+    base: np.ndarray  # (n,) digit bases, min(kappa_i, d) + 1
+    codes: np.ndarray  # (N,) codes of the exponents, ascending
+    digits: np.ndarray  # (N, n) the exponents, unsigned
+    factors: np.ndarray  # (N, d) per exponent, variable i repeated alpha_i times
+
+
+@lru_cache(maxsize=64)
+def exponent_table(d: int, kappa: tuple) -> ExponentTable:
+    """The layout of every coefficient vector with caps kappa at degree d:
+    its exponents' codes, their digits and, per exponent, the variable
+    indices of its factors in ascending order. At kappa = 1^n a row of
+    factors is the subset itself, in ``SubsetBasis`` order."""
+    radix, base, codes = exponent_code(kappa, d, d)
+    # the smallest unsigned type that holds every digit
+    digits = ((codes[:, None] // radix) % base).astype(np.min_scalar_type(int(base.max()) - 1))
+    variables = np.tile(np.arange(len(kappa), dtype=np.uint8), codes.size)
+    factors = np.repeat(variables, digits.ravel()).reshape(codes.size, d)
+    return ExponentTable(*map(_freeze, (radix, base, codes, digits, factors)))
+
+
+def _checked(coeffs, size: int) -> np.ndarray:
+    c = np.array(coeffs, dtype=float)
+    if c.shape != (size,):
+        raise ValueError(f"coefficient vector has shape {c.shape}, expected ({size},)")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("coefficients must be finite")
+    return _freeze(c)
+
+
+class _Poly:
+    """A homogeneous polynomial of degree d in n variables with per-variable
+    degree caps kappa: ``coeffs`` holds its coefficients over the exponents
+    of ``exponent_table(d, kappa)``, in code order."""
+
+    __slots__ = ("n", "d", "kappa", "coeffs")
+
+    @classmethod
+    def _new(cls, n: int, d: int, kappa: tuple, coeffs: np.ndarray):
+        """An instance on a read-only vector that is already checked."""
+        f = object.__new__(cls)
+        f.n, f.d, f.kappa, f.coeffs = n, d, kappa, coeffs
+        return f
+
+    @property
+    def table(self) -> ExponentTable:
+        return exponent_table(self.d, self.kappa)
+
+    @property
+    def terms(self) -> dict:
+        """The nonzero coefficients by exponent tuple, in code order."""
+        live = np.flatnonzero(self.coeffs)
+        return dict(zip(map(tuple, self.table.digits[live].tolist()), self.coeffs[live].tolist()))
+
+    def to_hom(self) -> "HomPoly":
+        """The same polynomial as a ``HomPoly``, sharing the coefficient vector."""
+        return HomPoly._new(self.n, self.d, self.kappa, self.coeffs)
+
+    def evaluate(self, point) -> float:
+        p = np.asarray(point, dtype=float)
+        if p.shape != (self.n,):
+            raise ValueError(f"point has shape {p.shape}, expected ({self.n},)")
+        return float(self.coeffs @ np.prod(p[self.table.factors], axis=1))
+
+    def value_at_ones(self) -> float:
+        return float(self.coeffs.sum())
+
+    def restrict_line(self, direction) -> np.ndarray:
+        """Ascending coefficients of t -> f(t*ones - direction)."""
+        y = np.asarray(direction, dtype=float)
+        if y.shape != (self.n,):
+            raise ValueError(f"direction has shape {y.shape}, expected ({self.n},)")
+        return restrict_lines(self, y[None])[0]
+
+    def _labels(self) -> np.ndarray:
+        """Rows naming the coefficients, in code order: the exponents."""
+        return self.table.digits
+
+    def support(self, tol: float = 1e-12):
+        """Exponents (for a multiaffine polynomial, subsets) whose
+        coefficient exceeds tol relative to the largest, in code order."""
+        size = np.abs(self.coeffs)
+        cut = tol * float(size.max(initial=0.0))
+        return tuple(map(tuple, self._labels()[size > cut].tolist()))
+
+    def l2_norm(self) -> float:
+        return float(np.linalg.norm(self.coeffs))
+
+    def _like(self, coeffs):
+        return self._new(self.n, self.d, self.kappa, _checked(coeffs, self.coeffs.size))
+
+    def _matches(self, other) -> bool:
+        return type(other) is type(self) and (other.n, other.d, other.kappa) == (self.n, self.d, self.kappa)
+
+    def __add__(self, other):
+        return self._like(self.coeffs + other.coeffs) if self._matches(other) else NotImplemented
+
+    def __sub__(self, other):
+        return self._like(self.coeffs - other.coeffs) if self._matches(other) else NotImplemented
+
+    def __mul__(self, scalar):
+        if not isinstance(scalar, (int, float)):
+            return NotImplemented
+        return self._like(self.coeffs * float(scalar))
+
+    __rmul__ = __mul__
+
+    def __repr__(self):
+        return (f"{type(self).__name__}(n={self.n}, d={self.d}, kappa={self.kappa}, "
+                f"nnz={int(np.count_nonzero(self.coeffs))})")
+
+
+class MultiAffinePoly(_Poly):
+    """Homogeneous multiaffine polynomial, dense on a SubsetBasis: the
+    capped polynomial with kappa = 1^n.
+
+    f(w) = sum over d-subsets S of coeffs[rank(S)] * prod_{i in S} w_i.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, basis: SubsetBasis, coeffs):
+        self.n, self.d, self.kappa = basis.n, basis.d, (1,) * basis.n
+        self.coeffs = _checked(coeffs, basis.size)
+
+    @property
+    def basis(self) -> SubsetBasis:
+        return subset_basis(self.n, self.d)
+
+    def _labels(self) -> np.ndarray:
+        """The subsets, each its own row of factors."""
+        return self.table.factors
+
+    def coefficient(self, subset) -> float:
+        return float(self.coeffs[self.basis.rank(subset)])
+
+    def derivative(self, subset) -> "MultiAffinePoly":
+        """Iterated partial derivative with respect to every variable in
+        ``subset``; the result never involves those variables again."""
+        s = tuple(sorted(set(subset)))
+        if any(i < 0 or i >= self.n for i in s):
+            raise ValueError(f"{subset} is not a subset of 0..{self.n - 1}")
+        if len(s) > self.d:
+            raise ValueError(f"cannot take {len(s)} derivatives of a degree-{self.d} polynomial")
+        out_basis = subset_basis(self.n, self.d - len(s))
+        sset = set(s)
+        out = np.zeros(out_basis.size)
+        for j, t in enumerate(out_basis.subsets):
+            if sset.isdisjoint(t):
+                out[j] = self.coeffs[self.basis.rank(s + t)]
+        return MultiAffinePoly(out_basis, out)
+
+
+class HomPoly(_Poly):
+    """Homogeneous polynomial with per-variable degree caps.
+
+    ``terms`` maps exponent tuples alpha (len n, sum d, alpha_i <= kappa_i)
+    to float coefficients; coefficients of repeated exponents add up.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, n: int, d: int, kappa, terms):
+        if n <= 0:
+            raise ValueError(f"need at least one variable, got n={n}")
+        if n > MAX_VARS:
+            raise ValueError(f"n={n} exceeds the hard cap of {MAX_VARS} variables")
+        if d < 0:
+            raise ValueError(f"degree must be nonnegative, got {d}")
+        kappa = tuple(int(k) for k in kappa)
+        if len(kappa) != n or any(k < 1 for k in kappa):
+            raise ValueError(f"caps must be {n} positive integers, got {kappa}")
+        keys = list(terms)
+        # a key of the wrong length becomes a placeholder row, reported
+        # as a bad exponent vector
+        short = np.fromiter(map(len, keys), np.int64, len(keys)) != n
+        rows = [(0,) * n if bad else alpha for alpha, bad in zip(keys, short)] if short.any() else keys
+        try:
+            alphas = np.fromiter(itertools.chain.from_iterable(rows), np.int64, n * len(keys)).reshape(len(keys), n)
+        except OverflowError as exc:
+            raise ValueError(f"exponent out of range: {exc}") from exc
+        coeffs = np.fromiter(terms.values(), float, len(keys))
+        inside = (alphas >= 0) & (alphas <= np.array(kappa))
+        ok = ~short & inside.all(axis=1) & (alphas.sum(axis=1) == d) & np.isfinite(coeffs)
+        if not ok.all():
+            first = int(np.argmin(ok))
+            alpha = tuple(int(a) for a in keys[first])
+            if short[first] or min(alpha) < 0:
+                raise ValueError(f"bad exponent vector {alpha}")
+            if sum(alpha) != d:
+                raise ValueError(f"exponent {alpha} does not have total degree {d}")
+            if not inside[first].all():
+                raise ValueError(f"exponent {alpha} exceeds caps {kappa}")
+            raise ValueError("coefficients must be finite")
+        table = exponent_table(d, kappa)
+        # summed in key order from 0.0, so -0.0 becomes 0.0
+        where = np.searchsorted(table.codes, alphas @ table.radix)
+        self.n, self.d, self.kappa = n, d, kappa
+        self.coeffs = _freeze(np.bincount(where, weights=coeffs, minlength=table.codes.size))
+
+    @classmethod
+    def _from_coeffs(cls, n: int, d: int, kappa: tuple, coeffs) -> "HomPoly":
+        """A HomPoly on coefficients already in code order, checked only
+        for shape and finiteness."""
+        return cls._new(n, d, kappa, _checked(coeffs, exponent_table(d, kappa).codes.size))
+
+    def coefficient(self, alpha) -> float:
+        a = np.array(alpha, dtype=np.int64)
+        if a.shape != (self.n,) or a.min() < 0 or (a > self.kappa).any() or a.sum() != self.d:
+            return 0.0
+        table = self.table
+        return float(self.coeffs[np.searchsorted(table.codes, a @ table.radix)])
+
+
+def elementary_symmetric(n: int, d: int) -> MultiAffinePoly:
+    """Sum of all degree-d squarefree monomials in n variables."""
+    basis = subset_basis(n, d)
+    return MultiAffinePoly(basis, np.ones(basis.size))
+
+
+def normalize_at_ones(f):
+    """Rescale so the value at the all-ones point is exactly 1."""
+    v = f.value_at_ones()
+    if v <= 0.0:
+        raise ValueError(f"cannot normalize: value at the all-ones point is {v}")
+    return f * (1.0 / v)
+
+
+# working-set cap of one block of restrict_lines, in float64 entries
+_LINE_BLOCK_ENTRIES = 1 << 15
+
+
+def restrict_lines(f, directions) -> np.ndarray:
+    """Ascending coefficients of t -> f(t*ones - y) for every row y of
+    ``directions``, shape (D, d+1).
+
+    Works through blocks of directions; within a block every nonzero
+    term's factors (t - y_i) are multiplied in, for all terms and
+    directions at once, in the order of the term's row of
+    ``exponent_table`` factors, and then the terms are summed in code
+    order. Working memory is bounded by the block size, not by D.
+    """
+    Y = np.asarray(directions, dtype=float)
+    if Y.ndim != 2 or Y.shape[1] != f.n:
+        raise ValueError(f"directions have shape {Y.shape}, expected (D, {f.n})")
+    keep = f.coeffs != 0.0
+    a, idx = f.coeffs[keep], f.table.factors[keep]
+    d = f.d
+    out = np.zeros((Y.shape[0], d + 1))
+    if a.size == 0:
+        return out
+    step = max(1, _LINE_BLOCK_ENTRIES // (a.size * (d + 1)))
+    for lo in range(0, Y.shape[0], step):
+        yt = np.ascontiguousarray(Y[lo : lo + step].T)  # (n, block)
+        # P[j] holds the t^j coefficient of every term in every direction
+        P = np.zeros((d + 1, a.size, yt.shape[1]))
+        P[0] = a[:, None]
+        for k in range(d):
+            y = yt[idx[:, k]]
+            P[1 : k + 2] = P[: k + 1] - y * P[1 : k + 2]
+            P[0] *= -y
+        out[lo : lo + step] = P.sum(axis=1).T
+    return out
 
 
 def compositions(total: int, parts: int, caps=None):

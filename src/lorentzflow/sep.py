@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .poly import MultiAffinePoly, SubsetBasis, _subset_table, subset_basis
+from .poly import MultiAffinePoly, SubsetBasis, exponent_table, subset_basis
 
 # exp overflow guard for backward flow; doubles top out near exp(709)
 _MAX_EXPONENT = 700.0
@@ -103,8 +103,9 @@ class SepGenerator:
 def build_generator(basis: SubsetBasis, rates: TranspositionRates) -> SepGenerator:
     """Assemble the generator matrix: position (A, B) sums the rates of
     the transpositions mapping subset B to subset A. Subsets are bitmasks,
-    which ascend in colex order, so each transposition is one gather over
-    the basis, taken in the order of the rates."""
+    their exponent codes at kappa = 1^n, which ascend in colex order, so
+    each transposition is one gather over the basis, taken in the order
+    of the rates."""
     if rates.n != basis.n:
         raise ValueError(f"rates are on {rates.n} variables, basis on {basis.n}")
     size = basis.size
@@ -116,7 +117,7 @@ def build_generator(basis: SubsetBasis, rates: TranspositionRates) -> SepGenerat
             "a two-dimensional subset basis gives a periodic swap action; "
             "this configuration is excluded"
         )
-    masks = (1 << _subset_table(basis.n, basis.d).astype(np.int64)).sum(axis=1)
+    masks = exponent_table(basis.d, (1,) * basis.n).codes
     columns = np.arange(size)
     L = np.zeros((size, size))
     for (i, j), q in rates.rates.items():

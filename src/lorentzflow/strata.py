@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import HomPoly, MultiAffinePoly, exponent_code
+from .poly import MultiAffinePoly, exponent_code
 
 # (alpha, beta) pairs the exchange kernel holds at once: memory linear in the set
 _EXCHANGE_BLOCK_PAIRS = 1 << 18
@@ -155,13 +155,11 @@ def support_stratum(f, tol: float = 1e-12) -> StratumReport:
     if ``f`` is multiaffine, else an ``MConvexCandidate``) and its exchange
     verdict. A coefficient below -tol times the largest is a domain error."""
     multiaffine = isinstance(f, MultiAffinePoly)
-    if not multiaffine and not isinstance(f, HomPoly):
-        raise TypeError(f"unsupported polynomial type {type(f)!r}")
-    terms = dict(zip(f.basis.subsets, f.coeffs.tolist())) if multiaffine else f.terms
-    cut = tol * max(map(abs, terms.values()), default=0.0)
-    for label, c in terms.items():
-        if c < -cut:
-            raise ValueError(f"negative coefficient {c} at {'subset' if multiaffine else 'exponent'} {label}")
+    negative = np.flatnonzero(f.coeffs < -tol * float(np.abs(f.coeffs).max(initial=0.0)))
+    if negative.size:
+        k = int(negative[0])
+        label = tuple(f._labels()[k].tolist())
+        raise ValueError(f"negative coefficient {float(f.coeffs[k])} at {'subset' if multiaffine else 'exponent'} {label}")
     support = (BasisFamily if multiaffine else MConvexCandidate)(f.n, f.d, f.support(tol))
     check = is_matroid_bases(support) if multiaffine else is_m_convex(support)
     return StratumReport("matroid_bases" if multiaffine else "m_convex", support, check, tol)

@@ -26,7 +26,7 @@ from lorentzflow.certify import (
     Verdict,
     VerdictStatus,
 )
-from lorentzflow.poly import HomPoly, MultiAffinePoly
+from lorentzflow.poly import HomPoly, MultiAffinePoly, compositions
 from lorentzflow.strata import BasisFamily, ExchangeResult
 
 _DEGENERATE_LEAD = 1e-14
@@ -267,11 +267,13 @@ def certify_multiaffine_reference(f, tol=DEFAULT_TOL):
 
 
 def certify_stable_reference(f, directions=DEFAULT_DIRECTIONS, seed=DEFAULT_SEED, tol=DEFAULT_TOL):
-    """Per-direction sampled stability certificate for a normalized f."""
+    """Per-direction sampled stability certificate for a normalized f.
+    Every exponent alpha <= kappa of degree d counts as a coefficient,
+    stored or not."""
     if isinstance(f, MultiAffinePoly):
         items = [([int(i in s) for i in range(f.n)], float(c)) for s, c in zip(f.basis.subsets, f.coeffs)]
     else:
-        items = [(list(a), c) for a, c in sorted(f.terms.items())]
+        items = [(list(a), f.coefficient(a)) for a in sorted(compositions(f.d, f.n, caps=f.kappa))]
     for label, c in items:
         if c < -tol:
             return Verdict(

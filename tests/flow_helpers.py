@@ -2,8 +2,10 @@
 the dense flow matrix, the contraction sandwich radii, block
 symmetrization, a numerical check of the contractive-flow properties on
 given members, the per-subset loops that built the generator, the lift
-and the projection, kept as the oracles of their array forms, and the
-lift -> dense flow -> project path, the oracle of the composition chain.
+and the projection, kept as the oracles of their array forms, the
+lift -> dense flow -> project path, the oracle of the composition chain,
+and the ball coordinate of a member, which is ``escape_time``'s ball
+point away from the fixed point.
 """
 
 import itertools
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lorentzflow.ballmap import MembershipOracle
+from lorentzflow.ballmap import CENTER_EPS, MembershipOracle, _centered_norm, _make_stepper, escape_time
 from lorentzflow.poly import HomPoly, MultiAffinePoly
 from lorentzflow.polarization import (
     PolarizationPlan,
@@ -244,3 +246,22 @@ def contractive_flow_check(
         tuple(violations),
         lipschitz_max,
     )
+
+
+def ball_coordinates(
+    f,
+    oracle: MembershipOracle,
+    dec: SpectralDecomposition | None = None,
+    s_max: float = 50.0,
+    tol: float = 1e-8,
+    plan: PolarizationPlan | None = None,
+) -> np.ndarray:
+    """Candidate ball coordinate of a member: zero at the fixed point,
+    exp(-sigma) times the anchor direction elsewhere; unit norm exactly on
+    the boundary."""
+    _, frame, _ = _make_stepper(f, dec, plan)
+    c = frame(f)
+    if _centered_norm(c) < CENTER_EPS:
+        return np.zeros(c.size - 1)
+    result = escape_time(f, oracle, dec, s_max=s_max, tol=tol, plan=plan)
+    return result.ball_point

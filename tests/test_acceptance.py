@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from lorentzflow.ballmap import (
-    ball_coordinates,
     escape_time,
     multiaffine_lorentzian_oracle,
 )
@@ -60,7 +59,7 @@ from lorentzflow.strata import (
 )
 
 from certify_reference import hessian_quadratic
-from flow_helpers import radius_bounds
+from flow_helpers import ball_coordinates, radius_bounds
 
 
 def _report(num, name, started):

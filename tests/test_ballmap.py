@@ -7,7 +7,6 @@ import pytest
 
 from lorentzflow.ballmap import (
     InfiniteEscape,
-    ball_coordinates,
     capped_lorentzian_oracle,
     escape_time,
     multiaffine_lorentzian_oracle,
@@ -18,7 +17,7 @@ from lorentzflow.poly import HomPoly, MultiAffinePoly, normalize_at_ones, subset
 from lorentzflow.polarization import stable_center
 from lorentzflow.sep import centered_norm, equilibrium, flow, uniform_decomposition
 
-from flow_helpers import contractive_flow_check
+from flow_helpers import ball_coordinates, contractive_flow_check
 from mixtures import random_member_mixture
 
 

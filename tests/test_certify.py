@@ -361,6 +361,18 @@ class TestCertifyStable:
         assert certify_stable(f).witness == {
             "kind": "negative_coefficient", "exponent": [1, 0, 0, 1, 0, 0], "value": f.coeffs[basis.rank((0, 3))]}
 
+    def test_unstored_zero_coefficients_count(self):
+        # x0 (x1 + x2) / 2: the coefficient of x1 x2 is zero however it is
+        # stored, so all three forms get the one verdict
+        f = MultiAffinePoly(subset_basis(3, 2), [0.5, 0.5, 0.0])
+        explicit = HomPoly(3, 2, (1, 1, 1), {(1, 1, 0): 0.5, (1, 0, 1): 0.5, (0, 1, 1): 0.0})
+        verdicts = [certify_stable(g) for g in (f, f.to_hom(), explicit)]
+        assert verdicts[0].status is VerdictStatus.BOUNDARY_WITHIN_TOL
+        assert verdicts[1] == verdicts[0] and verdicts[2] == verdicts[0]
+        # a capped polynomial with an in-cap exponent left out is on the
+        # boundary too
+        assert certify_stable(HomPoly(2, 2, (2, 2), {(2, 0): 0.5, (1, 1): 0.5})).status is VerdictStatus.BOUNDARY_WITHIN_TOL
+
 
 class TestDerivativeIdentity:
     def test_elementary_restriction_is_scaled_derivative(self):

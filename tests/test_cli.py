@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line surface: exit codes, artifact
 formats, determinism, and round-trip stability of the JSON schema."""
 
+import itertools
 import json
 import math
 
@@ -282,6 +283,21 @@ class TestSampleCommand:
         manifest = json.loads(capsys.readouterr().out)
         assert all(s["status"] == "strict_interior" for s in manifest["samples"])
 
+    def test_status_is_the_stable_certificate_of_the_file(self, tmp_path, capsys):
+        statuses = {}
+        for kind in ("multiaffine", "product"):
+            out_dir = tmp_path / kind
+            out_dir.mkdir()
+            rc = cli.main(["sample", "--kind", kind, "--n", "6", "--d", "3", "--count", "3",
+                           "--seed", "5", "--output-dir", str(out_dir)])
+            assert rc == 0
+            statuses[kind] = json.loads(capsys.readouterr().out)["samples"]
+            for s in statuses[kind]:
+                assert cli.main(["certify", "--mode", "stable", "--input", str(out_dir / s["file"])]) == 0
+                assert json.loads(capsys.readouterr().out)["status"] == s["status"], (kind, s)
+        # the first multiaffine sample has 14 of its 20 coefficients at zero
+        assert statuses["multiaffine"][0]["status"] == "boundary_within_tol"
+
 
 class TestJsonRoundTrip:
     def test_serialize_is_byte_stable(self, tmp_path):
@@ -289,6 +305,16 @@ class TestJsonRoundTrip:
         once = pio.dumps(pio.poly_to_obj(f))
         again = pio.dumps(pio.poly_to_obj(pio.obj_to_poly(json.loads(once))))
         assert once == again
+
+    def test_capped_serialize_is_byte_stable(self):
+        rng = np.random.default_rng(25)
+        kappa = (3, 1, 2)
+        alphas = [a for a in itertools.product(*(range(k + 1) for k in kappa)) if sum(a) == 4]
+        f = HomPoly(3, 4, kappa, {a: float(c) for a, c in zip(alphas, rng.standard_normal(len(alphas)))})
+        once = pio.dumps(pio.poly_to_obj(f))
+        again = pio.dumps(pio.poly_to_obj(pio.obj_to_poly(json.loads(once))))
+        assert once == again
+        assert np.array_equal(pio.obj_to_poly(json.loads(once)).coeffs, f.coeffs)
 
     def test_multiaffine_detection(self):
         obj = {"n": 2, "d": 1, "terms": [{"exponent": [1, 0], "coeff": 0.5},

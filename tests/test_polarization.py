@@ -18,7 +18,7 @@ from lorentzflow.poly import (
 )
 from lorentzflow import ballmap, cli, polarization, sep
 from lorentzflow import io as pio
-from lorentzflow.ballmap import ball_coordinates, capped_lorentzian_oracle, escape_time
+from lorentzflow.ballmap import capped_lorentzian_oracle, escape_time
 from lorentzflow.polarization import (
     PolarizationPlan,
     composition_chain,
@@ -39,6 +39,7 @@ from lorentzflow.sep import (
 )
 
 from flow_helpers import (
+    ball_coordinates,
     polarize_up_reference,
     polarized_flow_reference,
     project_down_reference,
@@ -321,6 +322,17 @@ class TestCompositionChain:
             lam = composition_chain(d, kappa).eigenvalues
             assert lam[0] == 1.0
             assert np.abs(lam[:, None] - johnson).min(axis=1).max() <= 1e-13, (kappa, d)
+
+    def test_chain_past_the_lift_cap(self):
+        # 165 states on N = 32 lifted variables, twice what a lift may hold
+        kappa, d = (8, 8, 8, 8), 8
+        chain = composition_chain(d, kappa)
+        assert chain.vectors.shape == (165, 165)
+        total = sum(kappa)
+        johnson = np.array([1 - k * (total + 1 - k) / math.comb(total, 2) for k in range(d + 1)])
+        assert np.abs(chain.eigenvalues[:, None] - johnson).min(axis=1).max() <= 1e-13
+        with pytest.raises(ValueError, match="above the cap"):
+            PolarizationPlan(4, d, kappa)
 
     def test_read_only_and_cached(self):
         chain = composition_chain(4, (4, 4, 4, 4))

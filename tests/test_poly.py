@@ -12,7 +12,9 @@ from lorentzflow.poly import (
     MultiAffinePoly,
     compositions,
     elementary_symmetric,
+    exponent_table,
     normalize_at_ones,
+    restrict_lines,
     subset_basis,
 )
 
@@ -298,8 +300,9 @@ class TestPlumbing:
 
     def test_hom_terms_sum_and_clean(self):
         f = HomPoly(2, 2, (2, 2), {(1, 1): 1.0, (1.5, 1): 2, (0, 2): -0.0, (2, 0): np.float64(0.5)})
-        assert list(f.terms.items()) == [((1, 1), 3.0), ((0, 2), 0.0), ((2, 0), 0.5)]
-        assert math.copysign(1.0, f.terms[(0, 2)]) == 1.0
+        # terms list the nonzero coefficients in code order
+        assert list(f.terms.items()) == [((2, 0), 0.5), ((1, 1), 3.0)]
+        assert math.copysign(1.0, f.coefficient((0, 2))) == 1.0
         assert all(type(c) is float for c in f.terms.values())
         assert all(type(a) is int for alpha in f.terms for a in alpha)
         assert HomPoly(2, 2, (2, 2), {}).terms == {}
@@ -307,6 +310,64 @@ class TestPlumbing:
     def test_normalize_rejects_nonpositive_mass(self):
         with pytest.raises(ValueError):
             normalize_at_ones(MultiAffinePoly(subset_basis(2, 1), [1.0, -1.0]))
+
+
+class TestOneStorage:
+    """Every polynomial is one read-only coefficient vector over the
+    exponents of ``exponent_table(d, kappa)``, in code order."""
+
+    @staticmethod
+    def _random_capped(rng):
+        n = int(rng.integers(1, 5))
+        kappa = tuple(int(k) for k in rng.integers(1, 4, size=n))
+        d = int(rng.integers(0, sum(kappa) + 1))
+        alphas = list(compositions(d, n, caps=kappa))
+        coeffs = rng.standard_normal(len(alphas))
+        coeffs[rng.random(len(alphas)) < 0.3] = 0.0
+        keep = rng.random(len(alphas)) < 0.8
+        return HomPoly(n, d, kappa, {a: c for a, c, k in zip(alphas, coeffs, keep) if k})
+
+    def test_terms_rebuild_the_vector_bit_for_bit(self):
+        rng = np.random.default_rng(251)
+        for _ in range(200):
+            f = self._random_capped(rng)
+            assert np.array_equal(HomPoly(f.n, f.d, f.kappa, f.terms).coeffs, f.coeffs)
+        for n, d in [(4, 2), (6, 3), (5, 0)]:
+            basis = subset_basis(n, d)
+            g = MultiAffinePoly(basis, rng.standard_normal(basis.size))
+            assert np.array_equal(HomPoly(n, d, (1,) * n, g.terms).coeffs, g.coeffs)
+
+    def test_to_hom_shares_the_vector(self):
+        f = normalize_at_ones(elementary_symmetric(6, 3))
+        g = f.to_hom()
+        assert isinstance(g, HomPoly) and not isinstance(f, HomPoly)
+        assert g.coeffs is f.coeffs
+        assert g.kappa == (1,) * 6
+        assert g.terms == f.terms
+
+    def test_restrict_lines_agree_across_types(self):
+        rng = np.random.default_rng(252)
+        for n, d in [(5, 2), (6, 3), (7, 4)]:
+            basis = subset_basis(n, d)
+            coeffs = rng.standard_normal(basis.size)
+            coeffs[rng.random(basis.size) < 0.3] = 0.0
+            f = MultiAffinePoly(basis, coeffs)
+            Y = rng.standard_normal((9, n))
+            assert np.array_equal(restrict_lines(f, Y), restrict_lines(f.to_hom(), Y))
+
+    def test_table_at_unit_caps_is_the_subset_basis(self):
+        for n, d in [(4, 2), (6, 3), (7, 0), (5, 5)]:
+            table = exponent_table(d, (1,) * n)
+            assert table.factors.tolist() == [list(s) for s in subset_basis(n, d).subsets]
+            assert all(arr.flags.writeable is False for arr in table)
+
+    def test_coefficient_lookup(self):
+        rng = np.random.default_rng(253)
+        for _ in range(50):
+            f = self._random_capped(rng)
+            for alpha in compositions(f.d, f.n, caps=f.kappa):
+                assert f.coefficient(alpha) == f.terms.get(alpha, 0.0)
+            assert f.coefficient((f.d + 1,) + (0,) * (f.n - 1)) == 0.0
 
 
 class TestCompositions:
