@@ -32,7 +32,6 @@ from .sep import (
     build_generator,
     centered_norm,
     eigen_coords,
-    equilibrium,
     flow,
     spectral,
     uniform_decomposition,

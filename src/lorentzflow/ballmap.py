@@ -5,10 +5,17 @@ The backward flow leaves any of the certified spaces in finite time
 the whole space strictly into its interior. Bracketing and bisecting that
 exit against a membership oracle gives an escape time; the boundary
 anchor's direction, scaled by exp(-exit time), is a candidate ball
-coordinate for the space. Directions are read in the Helmert frame of the
-centered coefficient vector, a fixed orthonormal basis of the sum-zero
-hyperplane, so they do not depend on which eigenvectors the eigensolver
-returned inside a repeated eigenvalue.
+coordinate for the space. Directions are read in the weighted Helmert
+frame of the flow's centered coordinates c / w, with w the weights of the
+flow's ``SpectralDecomposition``: a fixed orthonormal basis of the
+complement of w, so they do not depend on which eigenvectors the
+eigensolver returned inside a repeated eigenvalue. A ball point has one
+coordinate fewer than the polynomial has coefficients. Multiaffine inputs
+have w = 1, the Helmert frame of the centered coefficient vector. Capped
+inputs flow and are framed on their composition chain, with no lift: on
+block-symmetric vectors the lift's inner product is the Euclidean one of
+c / w, so the lifted frame would give the same norms and distances in
+C(sum(kappa), d) - 1 coordinates.
 """
 
 from __future__ import annotations
@@ -29,14 +36,8 @@ from .certify import (
     certify_stable,
 )
 from .poly import HomPoly
-from .polarization import (
-    PolarizationPlan,
-    _check_lifted,
-    composition_chain,
-    polarize_up,
-    polarized_flow,
-)
-from .sep import SpectralDecomposition, flow
+from .polarization import PolarizationPlan, _on_chain
+from .sep import SpectralDecomposition, _centered, centered_norm, flow
 
 # centered norms below this are treated as the flow's fixed point
 CENTER_EPS = 1e-10
@@ -87,9 +88,9 @@ def stable_oracle(
 @dataclass(frozen=True)
 class EscapeTimeResult:
     """Backward exit time, the polynomial at the crossing, and the derived
-    ball coordinate (norm exp(-sigma), direction from the Helmert
-    coordinates of the anchor's centered coefficients; for capped inputs,
-    of the lifted anchor's)."""
+    ball coordinate: norm exp(-sigma), direction from the weighted Helmert
+    coordinates of the anchor's centered c / w, one per coefficient less
+    one (for capped inputs, per composition alpha <= kappa less one)."""
 
     sigma: float
     anchor: object
@@ -98,47 +99,25 @@ class EscapeTimeResult:
     bracket_width: float
 
 
-def _helmert(c: np.ndarray) -> np.ndarray:
-    """Helmert coordinates h_k = (c_0+...+c_{k-1} - k c_k)/sqrt(k(k+1)),
-    k = 1..N-1, of the centered vector: an isometry of the sum-zero
-    hyperplane onto R^(N-1)."""
-    c = c - c.mean()
-    k = np.arange(1, c.size)
-    return (np.cumsum(c)[:-1] - k * c[1:]) / np.sqrt(k * (k + 1.0))
+def _helmert(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Weighted Helmert coordinates (Lancaster 1965) of a vector x
+    orthogonal to the weights u: h_k = (u_k sum_{i<k} u_i x_i - S_{k-1} x_k)
+    / sqrt(S_{k-1} S_k), k = 1..N-1, with S_k = sum_{i<=k} u_i^2, an
+    isometry of u's orthogonal complement onto R^(N-1). At u = 1 it is
+    (x_0+...+x_{k-1} - k x_k) / sqrt(k(k+1))."""
+    S = np.cumsum(u * u)
+    return (u[1:] * np.cumsum(u * x)[:-1] - S[:-1] * x[1:]) / np.sqrt(S[:-1] * S[1:])
 
 
-def _centered_norm(c: np.ndarray) -> float:
-    return float(np.linalg.norm(c - c.mean()))
-
-
-def _make_stepper(f, dec: SpectralDecomposition | None, plan: PolarizationPlan | None):
-    """Return (flow_by, frame, eigenvalues) for the polynomial type: the
-    flow, the coefficient vector whose Helmert coordinates and centered
-    norm the ball map reads, and the spectrum the flow runs on. Capped
-    polynomials flow on their composition chain and are framed by their
-    lift; multiaffine ones flow and are framed directly."""
+def _decomposition(f, dec: SpectralDecomposition | None, plan: PolarizationPlan | None):
+    """f and the decomposition its flow runs on: the composition chain for
+    a capped polynomial (a lifted ``dec`` is only checked, see
+    ``polarized_flow``), else ``dec``."""
     if isinstance(f, HomPoly):
-        if plan is None:
-            plan = PolarizationPlan(f.n, f.d, f.kappa)
-        _check_lifted(dec, plan)
-
-        def flow_by(g, s):
-            return polarized_flow(g, s, plan)
-
-        def frame(g):
-            return polarize_up(g, plan).coeffs
-
-        return flow_by, frame, composition_chain(plan.d, plan.kappa).eigenvalues
+        return _on_chain(f, plan, dec)
     if dec is None:
         raise ValueError("a spectral decomposition is required for multiaffine flows")
-
-    def flow_by(g, s):
-        return flow(g, s, dec)
-
-    def frame(g):
-        return g.coeffs
-
-    return flow_by, frame, dec.eigenvalues
+    return f, dec
 
 
 def escape_time(
@@ -156,30 +135,30 @@ def escape_time(
     top of the bracket width. Raises InfiniteEscape at the fixed point and
     EscapeNotBracketed when no exit occurs before ``s_max``.
     """
-    flow_by, frame, eigenvalues = _make_stepper(f, dec, plan)
-    if _centered_norm(frame(f)) < CENTER_EPS:
+    f, dec = _decomposition(f, dec, plan)
+    if centered_norm(f, dec) < CENTER_EPS:
         raise InfiniteEscape("input is the flow's fixed point")
     if not oracle.is_member(f):
         raise ValueError("input is not a member of the oracle's space")
     # keep the overflow guard of the backward flow out of reach
-    gap_max = 1.0 - float(eigenvalues[-1])
+    gap_max = 1.0 - float(dec.eigenvalues[-1])
     s_cap = min(s_max, 690.0 / gap_max)
     lo = 0.0
     hi = max(tol, 1e-3)
-    while oracle.is_member(flow_by(f, -hi)):
+    while oracle.is_member(flow(f, -hi, dec)):
         lo = hi
         hi *= 2.0
         if hi > s_cap:
             raise EscapeNotBracketed(f"still a member after backward time {lo}")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if oracle.is_member(flow_by(f, -mid)):
+        if oracle.is_member(flow(f, -mid, dec)):
             lo = mid
         else:
             hi = mid
     sigma = 0.5 * (lo + hi)
-    anchor = flow_by(f, -sigma)
-    x = _helmert(frame(anchor))
+    anchor = flow(f, -sigma, dec)
+    x = _helmert(_centered(anchor, dec), dec.weights)
     nrm = float(np.linalg.norm(x))
     direction = x / nrm
     ball_point = math.exp(-sigma) * direction
@@ -198,15 +177,15 @@ class TrajectorySample:
 def trajectory(f, dec, times, oracle: MembershipOracle | None = None, plan=None):
     """Flow snapshots at the given times: polynomial, centered norm, and
     (when an oracle is supplied) the certification verdict."""
-    flow_by, frame, _ = _make_stepper(f, dec, plan)
+    f, dec = _decomposition(f, dec, plan)
     rows = []
     for t in times:
-        g = flow_by(f, float(t))
+        g = flow(f, float(t), dec)
         rows.append(
             TrajectorySample(
                 float(t),
                 g,
-                _centered_norm(frame(g)),
+                centered_norm(g, dec),
                 oracle.certify(g) if oracle is not None else None,
             )
         )

@@ -11,7 +11,8 @@ symmetrizes within blocks.
 
 On block-symmetric vectors the uniform exclusion flow is the multi-urn
 Bernoulli-Laplace chain on the compositions alpha <= kappa, so capped
-flows run on that chain's few states and never build the lift.
+flows run on that chain's few states and never build the lift; only a
+``PolarizationPlan``, which holds the lifted basis, needs sum(kappa) <= 16.
 """
 
 from __future__ import annotations
@@ -19,12 +20,11 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
 from .poly import HomPoly, MultiAffinePoly, MAX_VARS, exponent_table, subset_basis
-from .sep import SpectralDecomposition, _checked_spectrum, _decay_factors, uniform_decomposition
+from .sep import SpectralDecomposition, _checked_spectrum, flow, uniform_decomposition
 
 
 class PolarizationPlan:
@@ -137,19 +137,8 @@ def lifted_decomposition(lifted_n: int, d: int) -> SpectralDecomposition:
     return uniform_decomposition(lifted_n, d)
 
 
-class CompositionChain(NamedTuple):
-    """The lifted uniform flow on block-symmetric vectors, as a chain on
-    the degree-d exponents alpha <= kappa in code order: ``weights`` are
-    sqrt(prod_i C(kappa_i, alpha_i)) and the chain's symmetrized matrix
-    is ``vectors`` diag(``eigenvalues``) ``vectors``^T. All read-only."""
-
-    weights: np.ndarray
-    eigenvalues: np.ndarray
-    vectors: np.ndarray
-
-
 @lru_cache(maxsize=32)
-def composition_chain(d: int, kappa: tuple) -> CompositionChain:
+def composition_chain(d: int, kappa: tuple) -> SpectralDecomposition:
     """The multi-urn Bernoulli-Laplace chain on the compositions
     alpha <= kappa of d (Diaconis-Shahshahani 1987), which is the lifted
     uniform flow seen on block-symmetric vectors. A transposition of two
@@ -161,7 +150,7 @@ def composition_chain(d: int, kappa: tuple) -> CompositionChain:
     symmetric: its (alpha, alpha - e_b + e_c) entry is the square root of
     the product of the two opposite rates, an integer product that is the
     same bit for bit from either side. One gather per ordered block pair
-    fills it, and ``_checked_spectrum`` decomposes it with mass sqrt(w)."""
+    fills it, and ``_checked_spectrum`` decomposes it with weights sqrt(w)."""
     radix, _, codes, digits, _ = exponent_table(d, kappa)
     alphas = digits.astype(np.int64)
     caps = np.array(kappa, dtype=np.int64)
@@ -181,21 +170,23 @@ def composition_chain(d: int, kappa: tuple) -> CompositionChain:
     A[np.diag_indices(codes.size)] = stay / pairs
     weights = np.sqrt(_binomials(d, kappa).prod(axis=0))
     eigenvalues, vectors = _checked_spectrum(A, weights)
-    for arr in (weights, eigenvalues, vectors):
-        arr.flags.writeable = False
-    return CompositionChain(weights, eigenvalues, vectors)
+    return SpectralDecomposition(None, eigenvalues, vectors, None, d=d, kappa=kappa, weights=weights)
 
 
-def _check_lifted(dec: SpectralDecomposition | None, plan: PolarizationPlan) -> None:
-    """A capped flow runs on the composition chain of the uniform lifted
-    flow; a lifted decomposition handed in must be that flow's."""
-    if dec is None:
-        return
-    if dec.basis != plan.lifted_basis:
-        raise ValueError(f"decomposition lives on {dec.basis!r}, plan expects {plan.lifted_basis!r}")
-    pairs = math.comb(plan.lifted_n, 2)
-    if len(dec.rates.rates) != pairs or set(dec.rates.rates.values()) != {1.0 / pairs}:
-        raise ValueError("capped flows use uniform rates on the lifted variables")
+def _on_chain(f, plan: PolarizationPlan | None, dec: SpectralDecomposition | None):
+    """f with the plan's caps, and the composition chain that flows it.
+    With no plan, f keeps its caps and no lift is built. A lifted ``dec``
+    is only checked to be the uniform flow on the plan's lifted basis."""
+    if dec is not None:
+        plan = plan or PolarizationPlan(f.n, f.d, f.kappa)
+        if dec.basis != plan.lifted_basis:
+            raise ValueError(f"decomposition lives on {dec.basis!r}, plan expects {plan.lifted_basis!r}")
+        pairs = math.comb(plan.lifted_n, 2)
+        if len(dec.rates.rates) != pairs or set(dec.rates.rates.values()) != {1.0 / pairs}:
+            raise ValueError("capped flows use uniform rates on the lifted variables")
+    if plan is not None:
+        f = _on_plan(f, plan)
+    return f, composition_chain(f.d, f.kappa)
 
 
 def polarized_flow(
@@ -205,18 +196,12 @@ def polarized_flow(
     dec: SpectralDecomposition | None = None,
 ) -> HomPoly:
     """Flow a capped polynomial for time ``s``: the uniform-rate flow on
-    the lifted variables, run on the composition chain as
-    c' = sqrt(w) V diag(exp(-s (1 - lambda))) V^T (c / sqrt(w)) on the
+    the lifted variables, which ``sep.flow`` runs on the composition chain
+    as c' = sqrt(w) V diag(exp(-s (1 - lambda))) V^T (c / sqrt(w)) on the
     coefficients c in code order. A decomposition ``dec`` is only checked
     to be the uniform one on the plan's lifted basis; it is not used."""
-    if plan is None:
-        plan = PolarizationPlan(f.n, f.d, f.kappa)
-    _check_lifted(dec, plan)
-    chain = composition_chain(plan.d, plan.kappa)
-    V = chain.vectors
-    x = V.T @ (_on_plan(f, plan).coeffs / chain.weights)
-    c = chain.weights * (V @ (_decay_factors(s, chain.eigenvalues) * x))
-    return HomPoly._from_coeffs(plan.n, plan.d, plan.kappa, c)
+    f, chain = _on_chain(f, plan, dec)
+    return flow(f, s, chain)
 
 
 def stable_center(n: int, d: int) -> HomPoly:
@@ -227,7 +212,7 @@ def stable_center(n: int, d: int) -> HomPoly:
     per-block binomials over the total count."""
     if d < 1:
         raise ValueError(f"degree must be at least 1, got {d}")
-    if n < 1 or n * d > MAX_VARS:
-        raise ValueError(f"n*d = {n * d} outside 1..{MAX_VARS}")
+    if n < 1 or n > MAX_VARS:
+        raise ValueError(f"n={n} outside 1..{MAX_VARS}")
     kappa = (d,) * n
     return HomPoly._from_coeffs(n, d, kappa, _binomials(d, kappa).prod(axis=0) / math.comb(n * d, d))

@@ -1,5 +1,5 @@
-"""The symmetric exclusion process as a linear flow on multiaffine
-polynomial coefficients.
+"""The symmetric exclusion process as a linear flow on polynomial
+coefficients.
 
 A convex combination of variable transpositions acts on the subset basis
 as a symmetric doubly stochastic matrix. Its spectral decomposition gives
@@ -7,7 +7,8 @@ a closed-form flow: the mass-preserving direction is left alone and every
 orthogonal mode decays (forward time) or grows (backward time) at a rate
 set by its eigenvalue gap. All flow operations here go through that
 spectral form, so the semigroup law holds to round-off in both time
-directions.
+directions. One ``flow`` serves both polynomial types: a capped flow is
+the weighted decomposition of ``polarization.composition_chain``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 
 import numpy as np
 
-from .poly import MultiAffinePoly, SubsetBasis, exponent_table, subset_basis
+from .poly import SubsetBasis, _freeze, exponent_table, subset_basis
 
 # exp overflow guard for backward flow; doubles top out near exp(709)
 _MAX_EXPONENT = 700.0
@@ -132,23 +133,26 @@ def build_generator(basis: SubsetBasis, rates: TranspositionRates) -> SepGenerat
 
 
 class SpectralDecomposition:
-    """Descending eigenvalues and an orthonormal eigenbasis of a generator.
-    The top eigenvalue is pinned to 1 with the uniform vector. Inside a
-    repeated eigenvalue the eigenvectors are whatever the eigensolver
-    returns: the flow acts on each eigenspace as a whole, so nothing
-    downstream depends on that choice of basis."""
+    """Descending eigenvalues and an orthonormal eigenbasis V of a symmetric
+    generator for the polynomials with (n, d, kappa), and read-only
+    ``weights`` w: the flow maps c to w V e^{-s(1-lambda)} V^T (c / w).
+    On a subset ``basis`` w = 1; on the composition chain, which has no
+    basis or rates, w_alpha = sqrt(prod_i C(kappa_i, alpha_i)). The top
+    eigenvalue is pinned to 1 with eigenvector w / |w|. Inside a repeated
+    eigenvalue the eigenvectors are whatever the eigensolver returns: the
+    flow acts on each eigenspace as a whole, so nothing downstream depends
+    on that choice of basis."""
 
-    __slots__ = ("basis", "eigenvalues", "vectors", "rates")
+    __slots__ = ("basis", "eigenvalues", "vectors", "rates", "n", "d", "kappa", "weights")
 
-    def __init__(self, basis, eigenvalues, vectors, rates):
-        self.basis = basis
-        ev = np.array(eigenvalues, dtype=float)
-        vv = np.array(vectors, dtype=float)
-        ev.flags.writeable = False
-        vv.flags.writeable = False
-        self.eigenvalues = ev
-        self.vectors = vv
-        self.rates = rates
+    def __init__(self, basis, eigenvalues, vectors, rates, *, d=None, kappa=None, weights=None):
+        if basis is not None:
+            d, kappa = basis.d, (1,) * basis.n
+        self.basis, self.rates = basis, rates
+        self.n, self.d, self.kappa = len(kappa), d, kappa
+        self.eigenvalues = _freeze(np.array(eigenvalues, dtype=float))
+        self.vectors = _freeze(np.array(vectors, dtype=float))
+        self.weights = _freeze(np.ones(self.size) if weights is None else np.array(weights, dtype=float))
 
     @property
     def size(self) -> int:
@@ -161,7 +165,7 @@ class SpectralDecomposition:
         return float(1.0 - self.eigenvalues[1])
 
     def __repr__(self):
-        return f"SpectralDecomposition(n={self.basis.n}, d={self.basis.d}, size={self.size})"
+        return f"SpectralDecomposition(n={self.n}, d={self.d}, kappa={self.kappa}, size={self.size})"
 
 
 def _checked_spectrum(A: np.ndarray, mass: np.ndarray):
@@ -207,11 +211,9 @@ def spectral(gen: SepGenerator) -> SpectralDecomposition:
     return SpectralDecomposition(gen.basis, w, vectors, gen.rates)
 
 
-def _check_compatible(f: MultiAffinePoly, dec: SpectralDecomposition) -> None:
-    if f.basis != dec.basis:
-        raise ValueError(
-            f"polynomial lives on {f.basis!r}, decomposition on {dec.basis!r}"
-        )
+def _check_compatible(f, dec: SpectralDecomposition) -> None:
+    if (f.n, f.d, f.kappa) != (dec.n, dec.d, dec.kappa):
+        raise ValueError(f"polynomial has (n, d, kappa) {(f.n, f.d, f.kappa)}, decomposition {(dec.n, dec.d, dec.kappa)}")
 
 
 def _decay_factors(s: float, lam: np.ndarray) -> np.ndarray:
@@ -224,39 +226,42 @@ def _decay_factors(s: float, lam: np.ndarray) -> np.ndarray:
     return np.exp(-s * (1.0 - lam))
 
 
-def flow(f: MultiAffinePoly, s: float, dec: SpectralDecomposition) -> MultiAffinePoly:
-    """Apply the flow for time ``s`` (negative s runs it backward)."""
+def flow(f, s: float, dec: SpectralDecomposition):
+    """Apply the flow for time ``s`` (negative s runs it backward) to a
+    multiaffine or capped polynomial with the decomposition's (n, d, kappa)."""
     _check_compatible(f, dec)
-    V = dec.vectors
-    x = V.T @ f.coeffs
-    return MultiAffinePoly(f.basis, V @ (_decay_factors(s, dec.eigenvalues) * x))
+    V, w = dec.vectors, dec.weights
+    x = V.T @ (f.coeffs / w)
+    return f._like(w * (V @ (_decay_factors(s, dec.eigenvalues) * x)))
 
 
-def eigen_coords(f: MultiAffinePoly, dec: SpectralDecomposition):
+def eigen_coords(f, dec: SpectralDecomposition):
     """Coordinates of ``f`` split into the mass coordinate (the value at
-    the all-ones point, i.e. the coefficient on the normalized elementary
-    symmetric equilibrium) and the coordinates on the decomposition's own
+    the all-ones point, i.e. the coefficient on the normalized
+    equilibrium) and the coordinates of c / w on the decomposition's own
     non-equilibrium eigenvectors. Inside a repeated eigenvalue those
     eigenvectors are the eigensolver's choice, so only the per-eigenspace
     norms of these coordinates are basis-independent."""
     _check_compatible(f, dec)
     x0 = float(f.coeffs.sum())
-    x = dec.vectors[:, 1:].T @ f.coeffs
+    x = dec.vectors[:, 1:].T @ (f.coeffs / dec.weights)
     return x0, x
 
 
-def centered_norm(f: MultiAffinePoly, dec: SpectralDecomposition) -> float:
-    """Euclidean norm of the non-equilibrium coordinates, computed as the
-    distance of the coefficient vector from its mean (the same value in
-    any orthonormal eigenbasis)."""
+def _centered(f, dec: SpectralDecomposition) -> np.ndarray:
+    """x = c / w less its component along w, (x.w / w.w) w: the
+    non-equilibrium part of f in the flow's orthonormal coordinates, in
+    code order. At w = 1 it is c - mean(c), bit for bit."""
     _check_compatible(f, dec)
-    return float(np.linalg.norm(f.coeffs - f.coeffs.mean()))
+    w = dec.weights
+    x = f.coeffs / w
+    return x - ((x * w).sum() / (w * w).sum()) * w
 
 
-def equilibrium(dec: SpectralDecomposition) -> MultiAffinePoly:
-    """The flow's fixed point: the normalized all-ones coefficient vector."""
-    size = dec.size
-    return MultiAffinePoly(dec.basis, np.full(size, 1.0 / size))
+def centered_norm(f, dec: SpectralDecomposition) -> float:
+    """Euclidean norm of the non-equilibrium coordinates, computed as the
+    norm of ``_centered`` (the same value in any orthonormal eigenbasis)."""
+    return float(np.linalg.norm(_centered(f, dec)))
 
 
 def uniform_decomposition(n: int, d: int) -> SpectralDecomposition:

@@ -4,8 +4,10 @@ symmetrization, a numerical check of the contractive-flow properties on
 given members, the per-subset loops that built the generator, the lift
 and the projection, kept as the oracles of their array forms, the
 lift -> dense flow -> project path, the oracle of the composition chain,
-and the ball coordinate of a member, which is ``escape_time``'s ball
-point away from the fixed point.
+the flow's fixed point on a subset basis, the unweighted and lifted
+Helmert frames, the oracles of the ball map's weighted frame, and the
+ball coordinate of a member, which is ``escape_time``'s ball point away
+from the fixed point.
 """
 
 import itertools
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lorentzflow.ballmap import CENTER_EPS, MembershipOracle, _centered_norm, _make_stepper, escape_time
+from lorentzflow.ballmap import CENTER_EPS, MembershipOracle, _decomposition, escape_time
 from lorentzflow.poly import HomPoly, MultiAffinePoly
 from lorentzflow.polarization import (
     PolarizationPlan,
@@ -30,6 +32,29 @@ from lorentzflow.sep import (
     centered_norm,
     flow,
 )
+
+
+def equilibrium(dec: SpectralDecomposition) -> MultiAffinePoly:
+    """The flow's fixed point on a subset basis: the normalized all-ones
+    coefficient vector."""
+    size = dec.size
+    return MultiAffinePoly(dec.basis, np.full(size, 1.0 / size))
+
+
+def helmert_reference(c: np.ndarray) -> np.ndarray:
+    """Helmert coordinates h_k = (c_0+...+c_{k-1} - k c_k)/sqrt(k(k+1)),
+    k = 1..N-1, of the centered vector: an isometry of the sum-zero
+    hyperplane onto R^(N-1). The oracle of the ball map's weighted frame
+    at unit weights."""
+    c = c - c.mean()
+    k = np.arange(1, c.size)
+    return (np.cumsum(c)[:-1] - k * c[1:]) / np.sqrt(k * (k + 1.0))
+
+
+def lifted_frame(g: HomPoly, plan: PolarizationPlan | None = None) -> np.ndarray:
+    """Helmert coordinates of a capped polynomial's lift: C(sum(kappa), d) - 1
+    of them, the oracle of the chain's weighted frame."""
+    return helmert_reference(polarize_up(g, plan).coeffs)
 
 
 def _swap_subset(subset, i, j):
@@ -259,9 +284,8 @@ def ball_coordinates(
     """Candidate ball coordinate of a member: zero at the fixed point,
     exp(-sigma) times the anchor direction elsewhere; unit norm exactly on
     the boundary."""
-    _, frame, _ = _make_stepper(f, dec, plan)
-    c = frame(f)
-    if _centered_norm(c) < CENTER_EPS:
-        return np.zeros(c.size - 1)
+    g, flow_dec = _decomposition(f, dec, plan)
+    if centered_norm(g, flow_dec) < CENTER_EPS:
+        return np.zeros(flow_dec.size - 1)
     result = escape_time(f, oracle, dec, s_max=s_max, tol=tol, plan=plan)
     return result.ball_point

@@ -15,9 +15,9 @@ from lorentzflow.ballmap import (
 from lorentzflow.certify import VerdictStatus, certify_multiaffine
 from lorentzflow.poly import HomPoly, MultiAffinePoly, normalize_at_ones, subset_basis
 from lorentzflow.polarization import stable_center
-from lorentzflow.sep import centered_norm, equilibrium, flow, uniform_decomposition
+from lorentzflow.sep import centered_norm, flow, uniform_decomposition
 
-from flow_helpers import ball_coordinates, contractive_flow_check
+from flow_helpers import ball_coordinates, contractive_flow_check, equilibrium
 from mixtures import random_member_mixture
 
 

@@ -2,7 +2,7 @@
 polarization lift: identical statuses and corresponding witnesses on a
 seeded corpus, the block-quotient spectrum identity, M-convexity against
 lifted basis exchange, the full-support shortcut, and the sizes past the
-lift's cap of 16 variables."""
+lift's cap of 16 variables, where the flow and the escape run too."""
 
 import itertools
 import json
@@ -297,9 +297,12 @@ class TestPastTheLiftCap:
             if name == "uniform":
                 assert out["status"] == "strict_interior"
 
-    def test_flows_and_escapes_still_refuse(self):
-        f = self.uniform()
-        with pytest.raises(ValueError, match="above the cap of 16"):
-            polarized_flow(f, 0.1)
-        with pytest.raises(ValueError, match="above the cap of 16"):
-            escape_time(f, capped_lorentzian_oracle())
+    def test_flows_and_escapes_run(self):
+        # the chain flows and frames 165 compositions; no lift is built
+        f = polarized_flow(random_form_product(4, 8, np.random.default_rng(16)), 0.3)
+        assert f.kappa == self.kappa
+        assert polarized_flow(f, 0.1).value_at_ones() == pytest.approx(1.0, abs=1e-12)
+        res = escape_time(f, capped_lorentzian_oracle())
+        assert res.sigma > 0.0
+        assert res.ball_point.size == 164
+        assert np.linalg.norm(res.ball_point) == pytest.approx(math.exp(-res.sigma), abs=1e-12)

@@ -329,6 +329,13 @@ class TestJsonRoundTrip:
         assert isinstance(f, HomPoly)
         assert f.kappa == (2, 1)
 
+    def test_codes_past_int64_are_refused_at_load(self):
+        # kappa_i = d = 16 at n = 16: 17^16 exponent codes
+        obj = {"n": 16, "d": 16, "kappa": [16] * 16,
+               "terms": [{"exponent": [16] + [0] * 15, "coeff": 1.0}]}
+        with pytest.raises(ValueError, match="int64"):
+            pio.obj_to_poly(obj)
+
     def test_schema_errors_are_value_errors(self):
         with pytest.raises(ValueError):
             pio.obj_to_poly({"n": 2, "terms": []})

@@ -1,6 +1,6 @@
 """Tests for the lift/project pair, the capped-space flow on the
-composition chain, and the distinguished interior point of the capped
-space."""
+composition chain, the ball map's frame on the chain, and the
+distinguished interior point of the capped space."""
 
 import json
 import math
@@ -33,13 +33,18 @@ from lorentzflow.sep import (
     FlowOverflowError,
     PeriodicFlowError,
     TranspositionRates,
+    _centered,
     build_generator,
     centered_norm,
+    flow,
     spectral,
+    uniform_decomposition,
 )
 
 from flow_helpers import (
     ball_coordinates,
+    helmert_reference,
+    lifted_frame,
     polarize_up_reference,
     polarized_flow_reference,
     project_down_reference,
@@ -202,7 +207,13 @@ class TestStableCenter:
 
     def test_size_cap(self):
         with pytest.raises(ValueError):
-            stable_center(9, 2)
+            stable_center(17, 2)
+
+    def test_fixed_point_past_the_lift_cap(self):
+        # n*d = 32 lifted variables; the chain flows it without a lift
+        f = stable_center(4, 8)
+        for s in (-0.5, 0.3, 2.0):
+            assert np.abs(polarized_flow(f, s).coeffs - f.coeffs).max() <= 1e-12
 
 
 class TestPolarizedFlow:
@@ -378,7 +389,7 @@ class TestCompositionChain:
         polarized_flow(f, 0.5)
         res = escape_time(f, capped_lorentzian_oracle())
         assert res.sigma > 0.0
-        assert res.ball_point.size == math.comb(16, 4) - 1
+        assert res.ball_point.size == 34
         path = tmp_path / "capped.json"
         pio.save_poly(f, path)
         assert cli.main(["flow", "--polarized", "--input", str(path), "--times", "0,0.5,-0.1"]) == 0
@@ -386,7 +397,7 @@ class TestCompositionChain:
         assert dense_builds == []
 
     def test_escape_matches_the_lifted_stepper(self):
-        """The ball map reads the anchor in the lifted frame, with or
+        """The ball map reads the anchor in the chain's frame, with or
         without a lifted decomposition handed in."""
         f = polarized_flow(random_form_product(2, 3, np.random.default_rng(27)), 0.3)
         plan = PolarizationPlan(2, 3, f.kappa)
@@ -396,4 +407,61 @@ class TestCompositionChain:
         assert res.sigma == again.sigma
         assert np.array_equal(res.ball_point, again.ball_point)
         h = ball_coordinates(stable_center(2, 3), oracle)
-        assert np.array_equal(h, np.zeros(plan.lifted_basis.size - 1))
+        assert np.array_equal(h, np.zeros(composition_chain(3, f.kappa).size - 1))
+
+
+def _frame(g, dec):
+    """The ball map's frame: weighted Helmert coordinates of centered c / w."""
+    return ballmap._helmert(_centered(g, dec), dec.weights)
+
+
+def _distances(points):
+    points = np.asarray(points)
+    return np.linalg.norm(points[:, None] - points[None], axis=2)
+
+
+class TestChainFrame:
+    def test_frame_is_the_lifted_frame_up_to_isometry(self):
+        """On every cap vector of the corpus, signed vectors keep their
+        lifted norms and distances in M - 1 coordinates."""
+        rng = np.random.default_rng(270)
+        for kappa, d in CHAIN_CORPUS:
+            chain = composition_chain(d, kappa)
+            polys = [HomPoly._from_coeffs(len(kappa), d, kappa, rng.standard_normal(chain.size))
+                     for _ in range(3)]
+            got = [_frame(g, chain) for g in polys]
+            want = [lifted_frame(g) for g in polys]
+            assert got[0].size == chain.size - 1
+            assert np.abs(np.linalg.norm(got, axis=1) - np.linalg.norm(want, axis=1)).max() <= 1e-12
+            assert np.abs(_distances(got) - _distances(want)).max() <= 1e-12, (kappa, d)
+
+    def test_ball_points_match_the_lifted_frame(self):
+        """Escapes of seeded capped members with sum(kappa) <= 12: the ball
+        points have the norms and pairwise distances of exp(-sigma) times
+        the lifted anchor's direction."""
+        oracle = capped_lorentzian_oracle()
+        for n, d, seeds in [(3, 2, range(4)), (3, 3, range(4)), (4, 3, range(3))]:
+            got, want = [], []
+            for seed in seeds:
+                f = polarized_flow(random_form_product(n, d, np.random.default_rng(seed)), 0.3)
+                res = escape_time(f, oracle)
+                h = lifted_frame(res.anchor)
+                assert res.ball_point.size == composition_chain(d, f.kappa).size - 1
+                got.append(res.ball_point)
+                want.append(math.exp(-res.sigma) * h / np.linalg.norm(h))
+            assert np.abs(np.linalg.norm(got, axis=1) - np.linalg.norm(want, axis=1)).max() <= 1e-12
+            assert np.abs(_distances(got) - _distances(want)).max() <= 1e-12, (n, d)
+
+    def test_unit_weights_keep_the_unweighted_frame_bit_for_bit(self):
+        rng = np.random.default_rng(271)
+        for n, d in [(6, 3), (8, 4), (10, 5)]:
+            basis = subset_basis(n, d)
+            for dec in (uniform_decomposition(n, d), composition_chain(d, (1,) * n)):
+                assert np.array_equal(dec.weights, np.ones(basis.size))
+                for _ in range(3):
+                    f = normalize_at_ones(MultiAffinePoly(basis, rng.random(basis.size)))
+                    c = f.coeffs
+                    assert np.array_equal(_frame(f, dec), helmert_reference(c))
+                    assert centered_norm(f, dec) == float(np.linalg.norm(c - c.mean()))
+                    g = flow(f, -0.2, dec)
+                    assert np.array_equal(_frame(g, dec), helmert_reference(g.coeffs))

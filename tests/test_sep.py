@@ -15,7 +15,6 @@ from lorentzflow.sep import (
     build_generator,
     centered_norm,
     eigen_coords,
-    equilibrium,
     flow,
     spectral,
     uniform_decomposition,
@@ -25,6 +24,7 @@ from lorentzflow.sep import (
 from flow_helpers import (
     build_generator_reference,
     check_primitivity,
+    equilibrium,
     flow_matrix,
     radius_bounds,
     symmetrize_partition,
