@@ -8,30 +8,22 @@ from .poly import (
     HomPoly,
     MultiAffinePoly,
     SubsetBasis,
-    compositions,
     elementary_symmetric,
     normalize_at_ones,
     restrict_lines,
     subset_basis,
 )
 from .strata import (
-    BasisFamily,
-    ExchangeResult,
-    MConvexCandidate,
     StratumReport,
-    is_m_convex,
-    is_matroid_bases,
     support_stratum,
 )
 from .sep import (
     FlowOverflowError,
     PeriodicFlowError,
-    SepGenerator,
     SpectralDecomposition,
     TranspositionRates,
     build_generator,
     centered_norm,
-    eigen_coords,
     flow,
     spectral,
     uniform_decomposition,
@@ -46,14 +38,11 @@ from .polarization import (
     stable_center,
 )
 from .certify import (
-    RootClass,
-    RootResult,
     Verdict,
     VerdictStatus,
     certify_hom,
     certify_multiaffine,
     certify_stable,
-    real_rooted,
     sample_sphere_sumzero,
 )
 from .ballmap import (

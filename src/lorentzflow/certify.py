@@ -62,12 +62,6 @@ _HESSIAN_BLOCK_ENTRIES = 1 << 14
 _DIRECTION_BLOCK = 64
 
 
-class RootClass(enum.Enum):
-    ALL_REAL_DISTINCT = "all_real_distinct"
-    ALL_REAL_WITH_TIES = "all_real_with_ties"
-    NOT_ALL_REAL = "not_all_real"
-
-
 class VerdictStatus(enum.Enum):
     STRICT_INTERIOR = "strict_interior"
     BOUNDARY_WITHIN_TOL = "boundary_within_tol"
@@ -90,12 +84,6 @@ class Verdict:
     @property
     def is_strict(self) -> bool:
         return self.status is VerdictStatus.STRICT_INTERIOR
-
-
-@dataclass(frozen=True)
-class RootResult:
-    kind: RootClass
-    degree_dropped: bool = False
 
 
 def _checked_eigh(H):
@@ -343,8 +331,7 @@ def certify_hom(f: HomPoly, tol: float = DEFAULT_TOL) -> Verdict:
     return _lorentzian(g, _table(f.n, f.d, f.kappa), tol, ("exponent", "exponent_one", "exponent_two"), list)
 
 
-# root classes by the codes that _root_classes returns
-_ROOT_CLASSES = (RootClass.ALL_REAL_DISTINCT, RootClass.ALL_REAL_WITH_TIES, RootClass.NOT_ALL_REAL)
+# root classes: distinct real roots, real roots with ties, complex roots
 _DISTINCT, _TIES, _COMPLEX = range(3)
 
 
@@ -383,7 +370,8 @@ def _hankel(c: np.ndarray) -> np.ndarray:
 
 
 def _root_classes(lines: np.ndarray, tol: float):
-    """Per row of coefficients (R, k): index into _ROOT_CLASSES and the
+    """Per row of coefficients (R, k): its root class (_DISTINCT, _TIES
+    or _COMPLEX), with the tolerance scaled by the Hankel trace, and the
     degree-drop flag. Rows are grouped by trimmed degree and each group's
     Hankel eigenvalues come from one stacked eigvalsh."""
     deg, dropped = _trim_rows(lines)
@@ -397,13 +385,6 @@ def _root_classes(lines: np.ndarray, tol: float):
         eff = tol * np.maximum(1.0, np.trace(H, axis1=1, axis2=2))
         codes[rows] = np.where(w0 > eff, _DISTINCT, np.where(w0 < -eff, _COMPLEX, _TIES))
     return codes, dropped
-
-
-def real_rooted(coeffs, tol: float = DEFAULT_TOL) -> RootResult:
-    """Classify a univariate polynomial's roots through the power-sum
-    Hankel matrix, with the tolerance scaled by its trace."""
-    codes, dropped = _root_classes(np.asarray(coeffs, dtype=float).reshape(1, -1), tol)
-    return RootResult(_ROOT_CLASSES[codes[0]], bool(dropped[0]))
 
 
 @lru_cache(maxsize=16)

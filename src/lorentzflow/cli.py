@@ -30,7 +30,6 @@ from .poly import HomPoly, MultiAffinePoly, normalize_at_ones, subset_basis
 from .polarization import PolarizationPlan, polarize_up, polarized_flow, project_down
 from .sep import (
     TranspositionRates,
-    build_generator,
     flow,
     spectral,
     uniform_decomposition,
@@ -76,7 +75,7 @@ def _parse_kappa(raw: str):
 
 
 def _load_rates(args, n: int) -> TranspositionRates:
-    if getattr(args, "rates_file", None):
+    if args.rates_file:
         with open(args.rates_file, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
         try:
@@ -112,7 +111,7 @@ def cmd_certify(args) -> int:
 def cmd_flow(args) -> int:
     f = normalize_at_ones(pio.load_poly(args.input))
     if args.polarized:
-        if getattr(args, "rates_file", None):
+        if args.rates_file:
             raise ValueError("--polarized flows use uniform rates on the lifted variables")
         f, dec = f.to_hom(), None
         oracle = (
@@ -125,7 +124,7 @@ def cmd_flow(args) -> int:
     else:
         if not isinstance(f, MultiAffinePoly):
             raise ValueError("input is not multiaffine; use --polarized for capped flows")
-        dec = spectral(build_generator(f.basis, _load_rates(args, f.n)))
+        dec = spectral(f.basis, _load_rates(args, f.n))
         oracle = bm.multiaffine_lorentzian_oracle(args.tol)
         order = slice(None)
     labels = ["_".join(map(str, alpha)) for alpha in f.table.digits[order].tolist()]
@@ -138,9 +137,7 @@ def cmd_flow(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    basis = subset_basis(args.n, args.d)
-    rates = _load_rates(args, args.n)
-    dec = spectral(build_generator(basis, rates))
+    dec = spectral(subset_basis(args.n, args.d), _load_rates(args, args.n))
     obj = {
         "n": args.n,
         "d": args.d,
@@ -261,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("flow", help="flow trajectories as CSV")
     common_io(p)
     p.add_argument("--times", required=True, help="comma-separated list of times")
-    p.add_argument("--rates", choices=["uniform"], default="uniform")
     p.add_argument("--rates-file", default=None, help="JSON file with explicit pair rates")
     p.add_argument("--polarized", action="store_true", help="flow a capped polynomial on its composition chain")
     p.add_argument("--oracle", choices=["lorentzian", "stable"], default="lorentzian")

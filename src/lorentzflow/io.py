@@ -75,14 +75,13 @@ def verdict_to_obj(v: Verdict) -> dict:
 
 
 def stratum_report_to_obj(report: StratumReport) -> dict:
-    members = report.support.bases if report.kind == "matroid_bases" else report.support.points
-    witness = None if report.check.ok else [list(w) if isinstance(w, tuple) else w for w in report.check.witness]
+    witness = None if report.violation is None else [list(w) if isinstance(w, tuple) else w for w in report.violation]
     # on 0/1 exponent vectors the exponent exchange and basis exchange
     # notions coincide, so one flag serves both report kinds
     return {
         "kind": report.kind,
-        "support": sorted(map(list, members)),
-        "m_convex": report.check.ok,
+        "support": sorted(map(list, report.support)),
+        "m_convex": report.violation is None,
         "witness": witness,
         "tol": report.tol,
     }

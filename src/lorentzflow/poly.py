@@ -42,38 +42,43 @@ def _check_dims(n: int, d: int) -> None:
 class SubsetBasis:
     """All d-element subsets of {0, ..., n-1} in colexicographic order.
 
-    Subsets are sorted integer tuples. ``rank`` and ``unrank`` are mutually
-    inverse bijections between subsets and positions 0..C(n,d)-1.
+    The subsets are the rows of ``exponent_table(d, 1^n).factors``, whose
+    codes are their bitmasks; nothing else is stored. ``rank`` and
+    ``unrank`` are mutually inverse bijections between subsets, as sorted
+    integer tuples, and positions 0..C(n,d)-1.
     """
 
-    __slots__ = ("n", "d", "subsets", "_positions")
+    __slots__ = ("n", "d")
 
     def __init__(self, n: int, d: int):
         _check_dims(n, d)
         self.n = n
         self.d = d
-        # colex: compare largest elements first
-        self.subsets = tuple(
-            sorted(itertools.combinations(range(n), d), key=lambda s: s[::-1])
-        )
-        self._positions = {s: i for i, s in enumerate(self.subsets)}
+
+    @property
+    def table(self) -> ExponentTable:
+        return exponent_table(self.d, (1,) * self.n)
+
+    @property
+    def subsets(self) -> tuple:
+        """Every subset as a sorted tuple, read off the table."""
+        return tuple(map(tuple, self.table.factors.tolist()))
 
     @property
     def size(self) -> int:
-        return len(self.subsets)
+        return math.comb(self.n, self.d)
 
     def rank(self, subset) -> int:
-        key = tuple(sorted(subset))
-        try:
-            return self._positions[key]
-        except KeyError:
+        """The position of a subset: one ``searchsorted`` of its bitmask.
+        Repeated or out-of-range elements leave fewer than d bits set."""
+        key = [int(i) for i in subset]
+        mask = sum(1 << i for i in key if 0 <= i < self.n)
+        if len(key) != self.d or mask.bit_count() != self.d:
             raise ValueError(f"{subset} is not a {self.d}-subset of 0..{self.n - 1}")
+        return int(self.table.codes.searchsorted(mask))
 
     def unrank(self, i: int):
-        return self.subsets[i]
-
-    def __iter__(self):
-        return iter(self.subsets)
+        return tuple(self.table.factors[i].tolist())
 
     def __eq__(self, other):
         return isinstance(other, SubsetBasis) and (self.n, self.d) == (other.n, other.d)
@@ -264,18 +269,20 @@ class MultiAffinePoly(_Poly):
 
     def derivative(self, subset) -> "MultiAffinePoly":
         """Iterated partial derivative with respect to every variable in
-        ``subset``; the result never involves those variables again."""
+        ``subset``; the result never involves those variables again. The
+        coefficient of a subset T that misses S is that of S + T, whose
+        bitmask is T's bitwise or S's: one ``searchsorted`` finds them all."""
         s = tuple(sorted(set(subset)))
         if any(i < 0 or i >= self.n for i in s):
             raise ValueError(f"{subset} is not a subset of 0..{self.n - 1}")
         if len(s) > self.d:
             raise ValueError(f"cannot take {len(s)} derivatives of a degree-{self.d} polynomial")
         out_basis = subset_basis(self.n, self.d - len(s))
-        sset = set(s)
-        out = np.zeros(out_basis.size)
-        for j, t in enumerate(out_basis.subsets):
-            if sset.isdisjoint(t):
-                out[j] = self.coeffs[self.basis.rank(s + t)]
+        mask = sum(1 << i for i in s)
+        codes = out_basis.table.codes
+        free = (codes & mask) == 0
+        out = np.zeros(codes.size)
+        out[free] = self.coeffs[np.searchsorted(self.table.codes, codes[free] | mask)]
         return MultiAffinePoly(out_basis, out)
 
 
@@ -390,25 +397,3 @@ def restrict_lines(f, directions) -> np.ndarray:
         out[lo : lo + step] = P.sum(axis=1).T
     return out
 
-
-def compositions(total: int, parts: int, caps=None):
-    """Yield all tuples of ``parts`` nonnegative integers summing to
-    ``total``, with entry i bounded by caps[i] when caps are given."""
-    if caps is None:
-        caps = (total,) * parts
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-
-    def rec(i, remaining):
-        if i == parts - 1:
-            if remaining <= caps[i]:
-                yield (remaining,)
-            return
-        hi = min(caps[i], remaining)
-        for v in range(hi + 1):
-            for rest in rec(i + 1, remaining - v):
-                yield (v,) + rest
-
-    yield from rec(0, total)

@@ -75,22 +75,3 @@ def random_interior_member(
         raise RuntimeError(f"flowed member is not strict after depth {depth}")
     return cand
 
-
-def zero_coefficient_boundary(
-    f: MultiAffinePoly, index: int, tol: float = 1e-9
-) -> MultiAffinePoly | None:
-    """Push a member onto the boundary by zeroing one coefficient and
-    renormalizing. Returns None when the surgery leaves the space: the
-    certificate rejects, its exchange check on the zeroed support
-    included."""
-    coeffs = f.coeffs.copy()
-    if coeffs[index] <= 0.0:
-        return None
-    coeffs[index] = 0.0
-    if coeffs.sum() <= 0.0:
-        return None
-    cand = normalize_at_ones(MultiAffinePoly(f.basis, coeffs))
-    verdict = certify_multiaffine(cand, tol)
-    if verdict.status is not VerdictStatus.BOUNDARY_WITHIN_TOL:
-        return None
-    return cand

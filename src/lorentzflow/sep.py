@@ -14,11 +14,10 @@ the weighted decomposition of ``polarization.composition_chain``.
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
-from .poly import SubsetBasis, _freeze, exponent_table, subset_basis
+from .poly import SubsetBasis, _freeze, subset_basis
 
 # exp overflow guard for backward flow; doubles top out near exp(709)
 _MAX_EXPONENT = 700.0
@@ -56,19 +55,11 @@ class TranspositionRates:
         total = sum(clean.values())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"rates sum to {total}, expected 1")
-        # support graph must connect all n variables
+        # support graph must connect all n variables: grow the component
+        # of 0 by every pair that touches it, n - 1 times
         seen = {0}
-        frontier = [0]
-        adj = {v: set() for v in range(n)}
-        for (i, j) in clean:
-            adj[i].add(j)
-            adj[j].add(i)
-        while frontier:
-            v = frontier.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
+        for _ in range(n - 1):
+            seen |= {v for pair in clean if seen.intersection(pair) for v in pair}
         if len(seen) != n:
             raise ValueError("rate support does not generate the symmetric group "
                              f"(variables {sorted(set(range(n)) - seen)} unreachable)")
@@ -81,32 +72,17 @@ class TranspositionRates:
 
 def uniform_rates(n: int) -> TranspositionRates:
     """Equal rate on every pair of variables."""
-    if n < 2:
-        raise ValueError(f"need at least two variables, got n={n}")
-    q = 1.0 / math.comb(n, 2)
-    return TranspositionRates(n, {p: q for p in itertools.combinations(range(n), 2)})
+    pairs = list(itertools.combinations(range(n), 2))
+    return TranspositionRates(n, {p: 1.0 / len(pairs) for p in pairs})
 
 
-class SepGenerator:
-    """Convex combination of transposition actions on a subset basis;
-    symmetric and doubly stochastic by construction."""
-
-    __slots__ = ("basis", "matrix", "rates")
-
-    def __init__(self, basis: SubsetBasis, matrix: np.ndarray, rates: TranspositionRates):
-        self.basis = basis
-        m = np.array(matrix, dtype=float)
-        m.flags.writeable = False
-        self.matrix = m
-        self.rates = rates
-
-
-def build_generator(basis: SubsetBasis, rates: TranspositionRates) -> SepGenerator:
-    """Assemble the generator matrix: position (A, B) sums the rates of
-    the transpositions mapping subset B to subset A. Subsets are bitmasks,
-    their exponent codes at kappa = 1^n, which ascend in colex order, so
-    each transposition is one gather over the basis, taken in the order
-    of the rates."""
+def build_generator(basis: SubsetBasis, rates: TranspositionRates) -> np.ndarray:
+    """The read-only generator matrix, a convex combination of
+    transposition actions, symmetric and doubly stochastic: position
+    (A, B) sums the rates of the transpositions mapping subset B to
+    subset A. Subsets are bitmasks, their exponent codes at kappa = 1^n,
+    which ascend in colex order, so each transposition is one gather over
+    the basis, taken in the order of the rates."""
     if rates.n != basis.n:
         raise ValueError(f"rates are on {rates.n} variables, basis on {basis.n}")
     size = basis.size
@@ -118,7 +94,7 @@ def build_generator(basis: SubsetBasis, rates: TranspositionRates) -> SepGenerat
             "a two-dimensional subset basis gives a periodic swap action; "
             "this configuration is excluded"
         )
-    masks = exponent_table(basis.d, (1,) * basis.n).codes
+    masks = basis.table.codes
     columns = np.arange(size)
     L = np.zeros((size, size))
     for (i, j), q in rates.rates.items():
@@ -129,7 +105,7 @@ def build_generator(basis: SubsetBasis, rates: TranspositionRates) -> SepGenerat
     # and (B, A) receive the same sum bit for bit
     if not np.array_equal(L, L.T):
         raise ValueError("generator failed to come out symmetric")
-    return SepGenerator(basis, L, rates)
+    return _freeze(L)
 
 
 class SpectralDecomposition:
@@ -203,12 +179,12 @@ def _checked_spectrum(A: np.ndarray, mass: np.ndarray):
     return w, vectors
 
 
-def spectral(gen: SepGenerator) -> SpectralDecomposition:
-    """Eigendecomposition of the generator, with the invariants of
-    ``_checked_spectrum``: the generator is doubly stochastic, so its
-    equilibrium is the uniform vector."""
-    w, vectors = _checked_spectrum(gen.matrix, np.ones(gen.matrix.shape[0]))
-    return SpectralDecomposition(gen.basis, w, vectors, gen.rates)
+def spectral(basis: SubsetBasis, rates: TranspositionRates) -> SpectralDecomposition:
+    """Eigendecomposition of the generator of ``rates`` on ``basis``, with
+    the invariants of ``_checked_spectrum``: the generator is doubly
+    stochastic, so its equilibrium is the uniform vector."""
+    w, vectors = _checked_spectrum(build_generator(basis, rates), np.ones(basis.size))
+    return SpectralDecomposition(basis, w, vectors, rates)
 
 
 def _check_compatible(f, dec: SpectralDecomposition) -> None:
@@ -266,4 +242,4 @@ def centered_norm(f, dec: SpectralDecomposition) -> float:
 
 def uniform_decomposition(n: int, d: int) -> SpectralDecomposition:
     """Spectral decomposition for uniform rates on the (n, d) basis."""
-    return spectral(build_generator(subset_basis(n, d), uniform_rates(n)))
+    return spectral(subset_basis(n, d), uniform_rates(n))

@@ -15,60 +15,6 @@ from .poly import MultiAffinePoly, exponent_code
 _EXCHANGE_BLOCK_PAIRS = 1 << 18
 
 
-@dataclass(frozen=True)
-class ExchangeResult:
-    """Outcome of an exchange-axiom check; carries a witness on failure."""
-
-    ok: bool
-    witness: tuple | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-class MConvexCandidate:
-    """A set of exponent vectors on the discrete simplex (entries
-    nonnegative integers, each summing to d)."""
-
-    __slots__ = ("n", "d", "points")
-
-    def __init__(self, n: int, d: int, points):
-        pts = set()
-        for alpha in points:
-            alpha = tuple(int(a) for a in alpha)
-            if len(alpha) != n or any(a < 0 for a in alpha):
-                raise ValueError(f"bad exponent vector {alpha}")
-            if sum(alpha) != d:
-                raise ValueError(f"exponent {alpha} does not sum to {d}")
-            pts.add(alpha)
-        self.n = n
-        self.d = d
-        self.points = frozenset(pts)
-
-    def __repr__(self):
-        return f"MConvexCandidate(n={self.n}, d={self.d}, size={len(self.points)})"
-
-
-class BasisFamily:
-    """A family of d-element subsets of {0, ..., n-1}."""
-
-    __slots__ = ("n", "d", "bases")
-
-    def __init__(self, n: int, d: int, bases):
-        fam = set()
-        for b in bases:
-            b = tuple(sorted(set(b)))
-            if len(b) != d or any(i < 0 or i >= n for i in b):
-                raise ValueError(f"{b} is not a {d}-subset of 0..{n - 1}")
-            fam.add(b)
-        self.n = n
-        self.d = d
-        self.bases = frozenset(fam)
-
-    def __repr__(self):
-        return f"BasisFamily(n={self.n}, d={self.d}, size={len(self.bases)})"
-
-
 def exchange_violation(points):
     """The first violation (alpha, beta, i) of the exchange axiom in an
     (m, n) array of nonnegative exponent rows of one degree, as tuples of
@@ -78,8 +24,9 @@ def exchange_violation(points):
 
     Rows are coded by ``poly.exponent_code`` with the set's maxima as caps.
     Violations are ordered by alpha, then beta, in ascending code order
-    (colex; ``SubsetBasis`` order on 0/1 rows), then i ascending. Codes past int64, which within 16 variables takes n = 16
-    and maxima near 16, are refused with a ``ValueError``. A pair violates
+    (colex; ``SubsetBasis`` order on 0/1 rows), then i ascending. Codes
+    past int64, which within 16 variables takes n = 16 and maxima near
+    16, are refused with a ``ValueError``. A pair violates
     the axiom at i when U_t(beta) = {j : beta_j >= t} misses F_t[alpha, i]
     at every level t: the j with alpha - e_i + e_j in the set and
     alpha_j = t - 1, and i itself at t = alpha_i. All as bitmasks over j.
@@ -121,45 +68,39 @@ def exchange_violation(points):
     return None
 
 
-def _result(violation, member=tuple) -> ExchangeResult:
-    if violation is None:
-        return ExchangeResult(True)
-    return ExchangeResult(False, (member(violation[0]), member(violation[1]), violation[2]))
-
-
-def is_m_convex(candidate: MConvexCandidate) -> ExchangeResult:
-    """The exchange axiom on exponent vectors (``exchange_violation``)."""
-    return _result(exchange_violation(np.array(list(candidate.points)).reshape(-1, candidate.n)))
-
-
-def is_matroid_bases(family: BasisFamily) -> ExchangeResult:
-    """Basis exchange: for B1, B2 in the family and every x in B1 - B2
-    some y in B2 - B1 has (B1 - {x}) + {y} in the family. This is the
-    exchange axiom on 0/1 exponents; the witness is its first (B1, B2, x)."""
-    rows = np.array([[int(i in b) for i in range(family.n)] for b in family.bases]).reshape(-1, family.n)
-    return _result(exchange_violation(rows), lambda alpha: tuple(i for i, a in enumerate(alpha) if a))
-
-
 @dataclass(frozen=True)
 class StratumReport:
-    """Support of a polynomial together with its exchange-check verdict."""
+    """Support of a polynomial together with its exchange-check verdict:
+    the support's labels (exponents, or subsets for a multiaffine
+    polynomial) in code order, and the first violation of the exchange
+    axiom on them, or None. A multiaffine violation is a basis-exchange
+    witness (B1, B2, x) of subsets."""
 
     kind: str  # "matroid_bases" or "m_convex"
-    support: object
-    check: ExchangeResult
+    support: tuple
+    violation: tuple | None
     tol: float
 
 
+def _subset(alpha) -> tuple:
+    return tuple(i for i, a in enumerate(alpha) if a)
+
+
 def support_stratum(f, tol: float = 1e-12) -> StratumReport:
-    """The support of ``f`` at relative tolerance ``tol`` (a ``BasisFamily``
-    if ``f`` is multiaffine, else an ``MConvexCandidate``) and its exchange
-    verdict. A coefficient below -tol times the largest is a domain error."""
+    """The support of ``f`` at relative tolerance ``tol`` and the first
+    violation of the exchange axiom on its exponent rows, from
+    ``exchange_violation``. A coefficient below -tol times the largest is
+    a domain error, and so is an empty support (the kernel's
+    ``ValueError``)."""
     multiaffine = isinstance(f, MultiAffinePoly)
-    negative = np.flatnonzero(f.coeffs < -tol * float(np.abs(f.coeffs).max(initial=0.0)))
+    size = np.abs(f.coeffs)
+    cut = tol * float(size.max(initial=0.0))
+    negative = np.flatnonzero(f.coeffs < -cut)
     if negative.size:
         k = int(negative[0])
         label = tuple(f._labels()[k].tolist())
         raise ValueError(f"negative coefficient {float(f.coeffs[k])} at {'subset' if multiaffine else 'exponent'} {label}")
-    support = (BasisFamily if multiaffine else MConvexCandidate)(f.n, f.d, f.support(tol))
-    check = is_matroid_bases(support) if multiaffine else is_m_convex(support)
-    return StratumReport("matroid_bases" if multiaffine else "m_convex", support, check, tol)
+    violation = exchange_violation(f.table.digits[size > cut])
+    if violation is not None and multiaffine:
+        violation = (_subset(violation[0]), _subset(violation[1]), violation[2])
+    return StratumReport("matroid_bases" if multiaffine else "m_convex", f.support(tol), violation, tol)

@@ -11,9 +11,16 @@ their verdicts and witnesses. The two pair loops of the exchange axiom,
 oracle of the vectorized ``strata.exchange_violation``; they walk alpha,
 then beta, in colex order, then i ascending, the kernel's documented
 order, so their first violation is the kernel's witness.
+
+Also here: the enumeration of capped compositions that the tests sweep,
+and ``real_rooted``, the one-row form of the stable certificate's root
+classifier ``certify._root_classes``, with its ``RootClass`` and
+``RootResult``.
 """
 
+import enum
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,18 +28,63 @@ from lorentzflow.certify import (
     DEFAULT_DIRECTIONS,
     DEFAULT_SEED,
     DEFAULT_TOL,
-    RootClass,
-    RootResult,
     Verdict,
     VerdictStatus,
+    _root_classes,
 )
-from lorentzflow.poly import HomPoly, MultiAffinePoly, compositions
-from lorentzflow.strata import BasisFamily, ExchangeResult
+from lorentzflow.poly import HomPoly, MultiAffinePoly
+from strata_wrappers import BasisFamily, ExchangeResult
 
 _DEGENERATE_LEAD = 1e-14
 
 # signature classes of one Hessian
 STRICT, AT_MOST_ONE_POSITIVE, FAIL = "strict", "at_most_one_positive", "fail"
+
+
+class RootClass(enum.Enum):
+    ALL_REAL_DISTINCT = "all_real_distinct"
+    ALL_REAL_WITH_TIES = "all_real_with_ties"
+    NOT_ALL_REAL = "not_all_real"
+
+
+@dataclass(frozen=True)
+class RootResult:
+    kind: RootClass
+    degree_dropped: bool = False
+
+
+# root classes by the codes that _root_classes returns
+_ROOT_CLASSES = (RootClass.ALL_REAL_DISTINCT, RootClass.ALL_REAL_WITH_TIES, RootClass.NOT_ALL_REAL)
+
+
+def real_rooted(coeffs, tol: float = DEFAULT_TOL) -> RootResult:
+    """Classify a univariate polynomial's roots through the power-sum
+    Hankel matrix, with the tolerance scaled by its trace."""
+    codes, dropped = _root_classes(np.asarray(coeffs, dtype=float).reshape(1, -1), tol)
+    return RootResult(_ROOT_CLASSES[codes[0]], bool(dropped[0]))
+
+
+def compositions(total: int, parts: int, caps=None):
+    """Yield all tuples of ``parts`` nonnegative integers summing to
+    ``total``, with entry i bounded by caps[i] when caps are given."""
+    if caps is None:
+        caps = (total,) * parts
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+
+    def rec(i, remaining):
+        if i == parts - 1:
+            if remaining <= caps[i]:
+                yield (remaining,)
+            return
+        hi = min(caps[i], remaining)
+        for v in range(hi + 1):
+            for rest in rec(i + 1, remaining - v):
+                yield (v,) + rest
+
+    yield from rec(0, total)
 
 
 def sample_sphere_reference(n, count, seed):

@@ -26,7 +26,6 @@ from lorentzflow.polarization import (
 )
 from lorentzflow.sep import (
     PeriodicFlowError,
-    SepGenerator,
     SpectralDecomposition,
     _decay_factors,
     centered_norm,
@@ -139,9 +138,10 @@ def polarized_flow_reference(f: HomPoly, s: float, plan: PolarizationPlan | None
 
 def check_primitivity(gen, max_power: int | None = None) -> int:
     """Smallest power of the generator with all entries positive, found by
-    iterated boolean products. Accepts a SepGenerator or a raw square
-    matrix; raises PeriodicFlowError when no power up to the cap works."""
-    M = gen.matrix if isinstance(gen, SepGenerator) else np.asarray(gen, dtype=float)
+    iterated boolean products, of a square matrix such as
+    ``build_generator``'s; raises PeriodicFlowError when no power up to
+    the cap works."""
+    M = np.asarray(gen, dtype=float)
     size = M.shape[0]
     if max_power is None:
         max_power = 2 * size

@@ -1,11 +1,14 @@
 """Seeded mixtures of member polynomials for tests: a convex mixture of
 disjoint-group products is not always a member, so draws are certified
-and retried."""
+and retried. Also the zero-coefficient surgery that pushes a member onto
+the boundary."""
+
+from __future__ import annotations
 
 import numpy as np
 
-from lorentzflow.certify import certify_multiaffine
-from lorentzflow.poly import MultiAffinePoly, SubsetBasis
+from lorentzflow.certify import VerdictStatus, certify_multiaffine
+from lorentzflow.poly import MultiAffinePoly, SubsetBasis, normalize_at_ones
 from lorentzflow.samples import random_disjoint_form_product
 
 
@@ -28,3 +31,23 @@ def random_member_mixture(
         if certify_multiaffine(cand, tol).is_member:
             return cand
     raise RuntimeError(f"no certified mixture found in {max_tries} tries")
+
+
+def zero_coefficient_boundary(
+    f: MultiAffinePoly, index: int, tol: float = 1e-9
+) -> MultiAffinePoly | None:
+    """Push a member onto the boundary by zeroing one coefficient and
+    renormalizing. Returns None when the surgery leaves the space: the
+    certificate rejects, its exchange check on the zeroed support
+    included."""
+    coeffs = f.coeffs.copy()
+    if coeffs[index] <= 0.0:
+        return None
+    coeffs[index] = 0.0
+    if coeffs.sum() <= 0.0:
+        return None
+    cand = normalize_at_ones(MultiAffinePoly(f.basis, coeffs))
+    verdict = certify_multiaffine(cand, tol)
+    if verdict.status is not VerdictStatus.BOUNDARY_WITHIN_TOL:
+        return None
+    return cand

@@ -17,16 +17,13 @@ from lorentzflow.ballmap import (
     multiaffine_lorentzian_oracle,
 )
 from lorentzflow.certify import (
-    RootClass,
     VerdictStatus,
     certify_multiaffine,
     certify_stable,
-    real_rooted,
 )
 from lorentzflow.poly import (
     HomPoly,
     MultiAffinePoly,
-    compositions,
     elementary_symmetric,
     normalize_at_ones,
     subset_basis,
@@ -41,7 +38,6 @@ from lorentzflow.polarization import (
 from lorentzflow.samples import (
     random_form_product,
     random_interior_member,
-    zero_coefficient_boundary,
 )
 from lorentzflow.sep import (
     PeriodicFlowError,
@@ -51,15 +47,16 @@ from lorentzflow.sep import (
     uniform_decomposition,
     uniform_rates,
 )
-from lorentzflow.strata import (
+
+from certify_reference import RootClass, compositions, hessian_quadratic, real_rooted
+from flow_helpers import ball_coordinates, radius_bounds
+from mixtures import zero_coefficient_boundary
+from strata_wrappers import (
     BasisFamily,
     MConvexCandidate,
     is_m_convex,
     is_matroid_bases,
 )
-
-from certify_reference import hessian_quadratic
-from flow_helpers import ball_coordinates, radius_bounds
 
 
 def _report(num, name, started):

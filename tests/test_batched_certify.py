@@ -13,6 +13,7 @@ from certify_reference import (
     certify_multiaffine_reference,
     certify_stable_reference,
     hermite_matrix_reference,
+    real_rooted,
     real_rooted_reference,
     restrict_line_reference,
     sample_sphere_reference,
@@ -25,7 +26,6 @@ from lorentzflow.certify import (
     certify_hom,
     certify_multiaffine,
     certify_stable,
-    real_rooted,
     sample_sphere_sumzero,
 )
 from lorentzflow.polarization import PolarizationPlan, polarize_up, project_down

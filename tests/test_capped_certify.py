@@ -12,16 +12,16 @@ import time
 import numpy as np
 import pytest
 
-from certify_reference import certify_multiaffine_reference, hessian_quadratic
+from certify_reference import certify_multiaffine_reference, compositions, hessian_quadratic
 from lorentzflow import certify as C
 from lorentzflow import cli
 from lorentzflow import io as pio
 from lorentzflow.ballmap import capped_lorentzian_oracle, escape_time
 from lorentzflow.certify import VerdictStatus, certify_hom, certify_multiaffine
 from lorentzflow.polarization import PolarizationPlan, polarize_up, polarized_flow
-from lorentzflow.poly import HomPoly, MultiAffinePoly, compositions, subset_basis
+from lorentzflow.poly import HomPoly, MultiAffinePoly, subset_basis
 from lorentzflow.samples import random_form_product
-from lorentzflow.strata import BasisFamily, MConvexCandidate, is_m_convex, is_matroid_bases
+from strata_wrappers import BasisFamily, MConvexCandidate, is_m_convex, is_matroid_bases
 
 
 def _caps(total_max):

@@ -8,9 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from certify_reference import hessian_quadratic
+from certify_reference import RootClass, hessian_quadratic, real_rooted
 from lorentzflow.certify import (
-    RootClass,
     VerdictStatus,
     _checked_eigh,
     _hankel,
@@ -19,7 +18,6 @@ from lorentzflow.certify import (
     certify_hom,
     certify_multiaffine,
     certify_stable,
-    real_rooted,
     sample_sphere_sumzero,
 )
 from lorentzflow.poly import (

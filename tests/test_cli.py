@@ -17,6 +17,7 @@ from lorentzflow.poly import (
     normalize_at_ones,
     subset_basis,
 )
+from lorentzflow.samples import random_disjoint_form_product
 
 
 @pytest.fixture()
@@ -168,6 +169,71 @@ class TestSpectrumCommand:
         rc = cli.main(["spectrum", "--n", "2", "--d", "1"])
         assert rc == 1
         assert "periodic" in capsys.readouterr().err
+
+
+def _rates_file(path, n, seed, total=1.0, pairs=None):
+    """A seeded non-uniform rates file: a spanning path plus random further
+    pairs, or the given pairs, with random rates summing to ``total``."""
+    rng = np.random.default_rng(seed)
+    if pairs is None:
+        pairs = [(i, j) for i, j in itertools.combinations(range(n), 2) if j == i + 1 or rng.random() < 0.4]
+    q = rng.random(len(pairs)) + 0.1
+    q *= total / q.sum()
+    path.write_text(json.dumps({"n": n, "rates": [{"i": i, "j": j, "q": float(w)} for (i, j), w in zip(pairs, q)]}))
+    return path
+
+
+class TestRatesFile:
+    """``--rates-file`` is the only caller of ``spectral`` with custom rates."""
+
+    def _run(self, capsys, argv):
+        rc = cli.main(argv)
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    def test_gap_equals_the_single_particle_gap(self, tmp_path, capsys):
+        # Caputo-Liggett-Richthammer 2010: the exclusion process with d
+        # particles has the spectral gap of one random walker
+        for n in (6, 8):
+            rates = str(_rates_file(tmp_path / f"r{n}.json", n, 40 + n))
+            gaps = []
+            for d in (n // 2, 1):
+                rc, out, _ = self._run(capsys, ["spectrum", "--n", str(n), "--d", str(d), "--rates-file", rates])
+                assert rc == 0
+                gaps.append(json.loads(out)["spectral_gap"])
+            _, out, _ = self._run(capsys, ["spectrum", "--n", str(n), "--d", "1"])
+            assert abs(gaps[0] - gaps[1]) <= 1e-12, (n, gaps)
+            assert abs(gaps[1] - json.loads(out)["spectral_gap"]) > 1e-3  # the file's rates, not uniform ones
+
+    def test_flow_keeps_mass_and_contracts(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        pio.save_poly(random_disjoint_form_product(subset_basis(6, 3), np.random.default_rng(41)), path)
+        rates = str(_rates_file(tmp_path / "r.json", 6, 42))
+        rc, out, _ = self._run(capsys, ["flow", "--input", str(path), "--times", "0,0.1,0.5,1,2", "--rates-file", rates])
+        assert rc == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        norms = [float(r[-2]) for r in rows]
+        for r in rows:
+            assert abs(sum(map(float, r[1:-2])) - 1.0) <= 1e-12
+        assert all(a > b for a, b in zip(norms, norms[1:])), norms
+        _, uniform, _ = self._run(capsys, ["flow", "--input", str(path), "--times", "0,0.1,0.5,1,2"])
+        assert uniform != out
+
+    def test_bad_rates_files_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        pio.save_poly(normalize_at_ones(elementary_symmetric(6, 3)), path)
+        bad = {
+            "rates file is for n=5": _rates_file(tmp_path / "n5.json", 5, 43),
+            "rates sum to 0.9": _rates_file(tmp_path / "sum.json", 6, 44, total=0.9),
+            "does not generate": _rates_file(tmp_path / "cut.json", 6, 45, pairs=[(0, 1), (1, 2), (3, 4), (4, 5)]),
+        }
+        for message, rates in bad.items():
+            for argv in (["spectrum", "--n", "6", "--d", "3"], ["flow", "--input", str(path), "--times", "0,1"]):
+                rc, out, err = self._run(capsys, argv + ["--rates-file", str(rates)])
+                assert rc == 1 and out == "" and message in err, (argv, message, err)
+        rates = str(_rates_file(tmp_path / "r.json", 6, 46))
+        rc, out, err = self._run(capsys, ["flow", "--polarized", "--input", str(path), "--times", "0,1", "--rates-file", rates])
+        assert rc == 1 and out == "" and "--polarized flows use uniform rates" in err
 
 
 class TestPolarizeCommand:

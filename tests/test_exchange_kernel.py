@@ -13,18 +13,12 @@ import numpy as np
 import pytest
 
 import matroids
-from certify_reference import is_m_convex_reference, is_matroid_bases_reference
+from certify_reference import compositions, is_m_convex_reference, is_matroid_bases_reference
 from lorentzflow.certify import VerdictStatus, certify_hom, certify_multiaffine
-from lorentzflow.poly import compositions
 from lorentzflow import strata
 from lorentzflow.samples import random_form_product
-from lorentzflow.strata import (
-    BasisFamily,
-    MConvexCandidate,
-    exchange_violation,
-    is_m_convex,
-    is_matroid_bases,
-)
+from lorentzflow.strata import exchange_violation
+from strata_wrappers import BasisFamily, MConvexCandidate, is_m_convex, is_matroid_bases
 
 
 def _first_violation(points):

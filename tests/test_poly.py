@@ -6,11 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from certify_reference import hessian_quadratic
+from certify_reference import compositions, hessian_quadratic
 from lorentzflow.poly import (
     HomPoly,
     MultiAffinePoly,
-    compositions,
     elementary_symmetric,
     exponent_table,
     normalize_at_ones,

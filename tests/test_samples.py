@@ -9,11 +9,10 @@ from lorentzflow.samples import (
     random_disjoint_form_product,
     random_form_product,
     random_interior_member,
-    zero_coefficient_boundary,
 )
 from lorentzflow.sep import uniform_decomposition
 
-from mixtures import random_member_mixture
+from mixtures import random_member_mixture, zero_coefficient_boundary
 
 
 def test_form_products_are_members():

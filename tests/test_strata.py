@@ -7,13 +7,15 @@ import itertools
 import numpy as np
 import pytest
 
+import matroids
+from lorentzflow import io as pio
 from lorentzflow.poly import HomPoly, MultiAffinePoly, subset_basis
-from lorentzflow.strata import (
+from lorentzflow.strata import support_stratum
+from strata_wrappers import (
     BasisFamily,
     MConvexCandidate,
     is_m_convex,
     is_matroid_bases,
-    support_stratum,
 )
 
 
@@ -160,9 +162,9 @@ def test_certified_member_supports_pass_exchange():
             f = random_member_mixture(subset_basis(n, d), rng)
             assert certify_multiaffine(f).is_member
             report = support_stratum(f, tol=1e-9)
-            assert report.check.ok
+            assert report.violation is None
             pts = []
-            for s in report.support.bases:
+            for s in report.support:
                 v = [0] * n
                 for i in s:
                     v[i] = 1
@@ -175,21 +177,21 @@ class TestSupportStratum:
         f = MultiAffinePoly(subset_basis(3, 2), [1 / 3] * 3)
         report = support_stratum(f)
         assert report.kind == "matroid_bases"
-        assert report.support.bases == frozenset({(0, 1), (0, 2), (1, 2)})
-        assert report.check.ok
+        assert frozenset(report.support) == frozenset({(0, 1), (0, 2), (1, 2)})
+        assert report.violation is None
 
     def test_two_term_support(self):
         f = MultiAffinePoly(subset_basis(3, 2), [0.5, 0.5, 0.0])
         report = support_stratum(f)
-        assert report.support.bases == frozenset({(0, 1), (0, 2)})
-        assert report.check.ok
+        assert frozenset(report.support) == frozenset({(0, 1), (0, 2)})
+        assert report.violation is None
 
     def test_collapsed_square_support(self):
         f = HomPoly(2, 2, (2, 2), {(2, 0): 1 / 6, (1, 1): 4 / 6, (0, 2): 1 / 6})
         report = support_stratum(f)
         assert report.kind == "m_convex"
-        assert report.support.points == frozenset({(2, 0), (1, 1), (0, 2)})
-        assert report.check.ok
+        assert frozenset(report.support) == frozenset({(2, 0), (1, 1), (0, 2)})
+        assert report.violation is None
 
     def test_negative_coefficient_rejected_with_location(self):
         f = MultiAffinePoly(subset_basis(3, 2), [0.5, 0.6, -0.1])
@@ -199,4 +201,64 @@ class TestSupportStratum:
     def test_tiny_negative_within_tol_passes(self):
         f = MultiAffinePoly(subset_basis(3, 2), [0.5, 0.5, -1e-15])
         report = support_stratum(f)
-        assert report.support.bases == frozenset({(0, 1), (0, 2)})
+        assert frozenset(report.support) == frozenset({(0, 1), (0, 2)})
+
+
+def _wrapper_report(f, tol):
+    """The stratum report as the frozenset wrappers gave it, JSON-ready:
+    the support as a ``BasisFamily`` or ``MConvexCandidate`` and the
+    witness of ``is_matroid_bases`` or ``is_m_convex``."""
+    cut = tol * max(abs(c) for c in f.terms.values())
+    live = [alpha for alpha, c in f.terms.items() if abs(c) > cut]
+    if isinstance(f, MultiAffinePoly):
+        kind, support = "matroid_bases", BasisFamily(f.n, f.d, [tuple(np.flatnonzero(a).tolist()) for a in live])
+        check, members = is_matroid_bases(support), support.bases
+    else:
+        kind, support = "m_convex", MConvexCandidate(f.n, f.d, live)
+        check, members = is_m_convex(support), support.points
+    witness = None if check.ok else [list(w) if isinstance(w, tuple) else w for w in check.witness]
+    obj = {"kind": kind, "support": sorted(map(list, members)), "m_convex": check.ok, "witness": witness, "tol": tol}
+    return check, obj
+
+
+class TestReportOnTheKernel:
+    """``support_stratum`` passes its exponent rows to
+    ``exchange_violation`` directly; its violation and JSON must be the
+    wrappers'."""
+
+    @staticmethod
+    def _multiaffine_corpus():
+        rng = np.random.default_rng(28)
+        out, failing = [], 0
+        for n, d in [(4, 2), (5, 2), (5, 3), (6, 3), (7, 3), (8, 4)]:
+            for _ in range(12):
+                fam = matroids.random_family(rng, n, d)
+                failing += not is_matroid_bases(BasisFamily(n, d, fam))
+                out.append(matroids.basis_polynomial(n, d, fam))
+            builds = (matroids.partition, matroids.transversal)
+            if n <= d * (d + 1) // 2:  # edges of the complete graph on d + 1 vertices
+                builds += (matroids.graphic,)
+            for build in builds:
+                out.append(matroids.basis_polynomial(n, d, build(rng, n, d)))
+        assert failing >= 50
+        return out
+
+    def test_violation_and_json_match_the_wrappers(self):
+        from test_capped_certify import _corpus
+
+        capped = _corpus()
+        assert len(capped) == 1616
+        seen = {True: 0, False: 0}
+        for f in self._multiaffine_corpus() + capped:
+            for tol in (1e-12, 1e-3):
+                report = support_stratum(f, tol)
+                check, obj = _wrapper_report(f, tol)
+                assert report.violation == check.witness, (f, tol)
+                assert pio.dumps(pio.stratum_report_to_obj(report)) == pio.dumps(obj), (f, tol)
+                seen[check.ok] += 1
+        assert min(seen.values()) >= 500, seen
+
+    def test_empty_support_raises_the_kernel_error(self):
+        for f in (MultiAffinePoly(subset_basis(4, 2), np.zeros(6)), HomPoly(2, 2, (2, 2), {})):
+            with pytest.raises(ValueError, match="nonempty"):
+                support_stratum(f)
