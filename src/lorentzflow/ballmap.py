@@ -110,14 +110,13 @@ def _helmert(x: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _decomposition(f, dec: SpectralDecomposition | None, plan: PolarizationPlan | None):
-    """f and the decomposition its flow runs on: the composition chain for
-    a capped polynomial (a lifted ``dec`` is only checked, see
-    ``polarized_flow``), else ``dec``."""
-    if isinstance(f, HomPoly):
-        return _on_chain(f, plan, dec)
-    if dec is None:
-        raise ValueError("a spectral decomposition is required for multiaffine flows")
-    return f, dec
+    """f and the decomposition its flow runs on: ``dec`` for a multiaffine
+    polynomial that comes with one, else the composition chain keyed by
+    f's (d, kappa) (a lifted ``dec`` of a capped polynomial is only
+    checked, see ``polarized_flow``)."""
+    if dec is not None and not isinstance(f, HomPoly):
+        return f, dec
+    return _on_chain(f, plan, dec)
 
 
 def escape_time(

@@ -28,13 +28,7 @@ from .certify import (
 )
 from .poly import HomPoly, MultiAffinePoly, normalize_at_ones, subset_basis
 from .polarization import PolarizationPlan, polarize_up, polarized_flow, project_down
-from .sep import (
-    TranspositionRates,
-    flow,
-    spectral,
-    uniform_decomposition,
-    uniform_rates,
-)
+from .sep import TranspositionRates, spectral, uniform_rates
 from .strata import support_stratum
 
 
@@ -113,7 +107,7 @@ def cmd_flow(args) -> int:
     if args.polarized:
         if args.rates_file:
             raise ValueError("--polarized flows use uniform rates on the lifted variables")
-        f, dec = f.to_hom(), None
+        f = f.to_hom()
         oracle = (
             bm.stable_oracle(args.directions, args.seed, args.tol)
             if args.oracle == "stable"
@@ -124,9 +118,10 @@ def cmd_flow(args) -> int:
     else:
         if not isinstance(f, MultiAffinePoly):
             raise ValueError("input is not multiaffine; use --polarized for capped flows")
-        dec = spectral(f.basis, _load_rates(args, f.n))
         oracle = bm.multiaffine_lorentzian_oracle(args.tol)
         order = slice(None)
+    # under uniform rates the trajectory runs on the composition chain of f's (d, kappa)
+    dec = spectral(f.basis, _load_rates(args, f.n)) if args.rates_file else None
     labels = ["_".join(map(str, alpha)) for alpha in f.table.digits[order].tolist()]
     lines = ["time," + ",".join(f"c_{l}" for l in labels) + ",centered_norm,verdict"]
     for sample in bm.trajectory(f, dec, _parse_times(args.times), oracle):
@@ -174,18 +169,16 @@ def cmd_ballmap(args) -> int:
     if args.space == "multiaffine-lorentzian":
         if not isinstance(f, MultiAffinePoly):
             raise ValueError("this space expects a multiaffine input")
-        dec = uniform_decomposition(f.n, f.d)
         oracle = bm.multiaffine_lorentzian_oracle(args.tol)
     else:
         f = f.to_hom()
-        dec = None
         if args.space == "stable":
             _announce_seed(args.seed)
             oracle = bm.stable_oracle(args.directions, args.seed, args.tol)
         else:
             oracle = bm.capped_lorentzian_oracle(args.tol)
     try:
-        result = bm.escape_time(f, oracle, dec, s_max=args.s_max, tol=args.bisect_tol)
+        result = bm.escape_time(f, oracle, s_max=args.s_max, tol=args.bisect_tol)
     except bm.InfiniteEscape:
         _emit(pio.dumps({"infinite_escape": True, "space": args.space}), args.output)
         return 0
@@ -222,14 +215,11 @@ def cmd_sample(args) -> int:
     for k in range(args.count):
         if args.kind == "multiaffine":
             g = smp.random_disjoint_form_product(subset_basis(args.n, args.d), rng)
-            if args.interior > 0.0:
-                g = flow(g, args.interior, uniform_decomposition(args.n, args.d))
-            check = certify_stable(g)
         else:
             g = smp.random_form_product(args.n, args.d, rng)
-            if args.interior > 0.0:
-                g = polarized_flow(g, args.interior)
-            check = certify_stable(g)
+        if args.interior > 0.0:
+            g = polarized_flow(g, args.interior)
+        check = certify_stable(g)
         if check.status is VerdictStatus.REJECTED:
             raise RuntimeError("generated sample failed its stability certificate")
         name = f"sample_{k:03d}.json"

@@ -13,6 +13,8 @@ On block-symmetric vectors the uniform exclusion flow is the multi-urn
 Bernoulli-Laplace chain on the compositions alpha <= kappa, so capped
 flows run on that chain's few states and never build the lift; only a
 ``PolarizationPlan``, which holds the lifted basis, needs sum(kappa) <= 16.
+The chain is ``sep._generator`` at uniform rates, so at kappa = 1^n it
+is the uniform multiaffine flow bit for bit.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .poly import HomPoly, MultiAffinePoly, MAX_VARS, exponent_table, subset_basis
-from .sep import SpectralDecomposition, _checked_spectrum, flow, uniform_decomposition
+from .sep import SpectralDecomposition, _checked_spectrum, _generator, flow, uniform_decomposition
 
 
 class PolarizationPlan:
@@ -141,33 +143,19 @@ def lifted_decomposition(lifted_n: int, d: int) -> SpectralDecomposition:
 def composition_chain(d: int, kappa: tuple) -> SpectralDecomposition:
     """The multi-urn Bernoulli-Laplace chain on the compositions
     alpha <= kappa of d (Diaconis-Shahshahani 1987), which is the lifted
-    uniform flow seen on block-symmetric vectors. A transposition of two
-    lifted variables moves alpha to alpha - e_b + e_c when it swaps an
-    element of block b in the subset for one of block c outside it, at
-    rate alpha_b (kappa_c - alpha_c) / C(N, 2), N = sum(kappa); every
-    other pair leaves the composition alone. The chain is reversible for
-    w = prod_i C(kappa_i, alpha_i), so D^(1/2) P D^(-1/2), D = diag(w), is
-    symmetric: its (alpha, alpha - e_b + e_c) entry is the square root of
-    the product of the two opposite rates, an integer product that is the
-    same bit for bit from either side. One gather per ordered block pair
-    fills it, and ``_checked_spectrum`` decomposes it with weights sqrt(w)."""
-    radix, _, codes, digits, _ = exponent_table(d, kappa)
-    alphas = digits.astype(np.int64)
-    caps = np.array(kappa, dtype=np.int64)
-    total = int(caps.sum())
+    uniform flow seen on block-symmetric vectors: ``sep._generator`` at
+    rate 1 / C(N, 2), N = sum(kappa), on every lifted pair. The chain is
+    reversible for w = prod_i C(kappa_i, alpha_i), so the fill is the
+    symmetric D^(1/2) P D^(-1/2), D = diag(w), and ``_checked_spectrum``
+    decomposes it with weights sqrt(w). At kappa = 1^n it adds the floats
+    of ``sep.build_generator`` under uniform rates in the same order, so
+    it is ``uniform_decomposition(n, d)`` bit for bit."""
+    total = sum(kappa)
     if total < 2:
         raise ValueError(f"need at least two lifted variables, got {total}")
-    pairs = math.comb(total, 2)
-    free = caps - alphas  # (M, n) room left in each block
-    A = np.zeros((codes.size, codes.size))
-    for b, c in itertools.permutations(range(len(kappa)), 2):
-        src = np.flatnonzero((alphas[:, b] > 0) & (free[:, c] > 0))
-        dst = np.searchsorted(codes, codes[src] + radix[c] - radix[b])
-        both = alphas[src, b] * free[src, c] * (alphas[src, c] + 1) * (free[src, b] + 1)
-        A[dst, src] = np.sqrt(both) / pairs
-    # pairs inside the subset, outside it, or inside one block stay put
-    stay = math.comb(d, 2) + math.comb(total - d, 2) + (alphas * free).sum(axis=1)
-    A[np.diag_indices(codes.size)] = stay / pairs
+    q = 1.0 / math.comb(total, 2)
+    pairs = itertools.combinations_with_replacement(range(len(kappa)), 2)
+    A = _generator(d, kappa, [(pair, q) for pair in pairs])
     weights = np.sqrt(_binomials(d, kappa).prod(axis=0))
     eigenvalues, vectors = _checked_spectrum(A, weights)
     return SpectralDecomposition(None, eigenvalues, vectors, None, d=d, kappa=kappa, weights=weights)
@@ -195,11 +183,12 @@ def polarized_flow(
     plan: PolarizationPlan | None = None,
     dec: SpectralDecomposition | None = None,
 ) -> HomPoly:
-    """Flow a capped polynomial for time ``s``: the uniform-rate flow on
-    the lifted variables, which ``sep.flow`` runs on the composition chain
-    as c' = sqrt(w) V diag(exp(-s (1 - lambda))) V^T (c / sqrt(w)) on the
-    coefficients c in code order. A decomposition ``dec`` is only checked
-    to be the uniform one on the plan's lifted basis; it is not used."""
+    """Flow a capped or multiaffine polynomial for time ``s``: the
+    uniform-rate flow on the lifted variables, which ``sep.flow`` runs on
+    the composition chain of f's (d, kappa) as c' = sqrt(w) V
+    diag(exp(-s (1 - lambda))) V^T (c / sqrt(w)) on the coefficients c in
+    code order. A decomposition ``dec`` is only checked to be the uniform
+    one on the plan's lifted basis; it is not used."""
     f, chain = _on_chain(f, plan, dec)
     return flow(f, s, chain)
 

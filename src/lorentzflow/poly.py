@@ -216,9 +216,6 @@ class _Poly:
         cut = tol * float(size.max(initial=0.0))
         return tuple(map(tuple, self._labels()[size > cut].tolist()))
 
-    def l2_norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
     def _like(self, coeffs):
         return self._new(self.n, self.d, self.kappa, _checked(coeffs, self.coeffs.size))
 

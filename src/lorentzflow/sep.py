@@ -7,17 +7,19 @@ a closed-form flow: the mass-preserving direction is left alone and every
 orthogonal mode decays (forward time) or grows (backward time) at a rate
 set by its eigenvalue gap. All flow operations here go through that
 spectral form, so the semigroup law holds to round-off in both time
-directions. One ``flow`` serves both polynomial types: a capped flow is
-the weighted decomposition of ``polarization.composition_chain``.
+directions. One generator fill, ``_generator``, keyed by (d, kappa,
+rates), serves ``build_generator`` and ``polarization.composition_chain``,
+and one ``flow`` serves both polynomial types.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
-from .poly import SubsetBasis, _freeze, subset_basis
+from .poly import SubsetBasis, _freeze, exponent_table, subset_basis
 
 # exp overflow guard for backward flow; doubles top out near exp(709)
 _MAX_EXPONENT = 700.0
@@ -76,17 +78,46 @@ def uniform_rates(n: int) -> TranspositionRates:
     return TranspositionRates(n, {p: 1.0 / len(pairs) for p in pairs})
 
 
+def _generator(d: int, kappa: tuple, rates) -> np.ndarray:
+    """The symmetrized generator of the exclusion flow on the compositions
+    alpha <= kappa of d, in code order. ``rates`` lists ((b, c), q), q the
+    rate of each lifted pair of one variable in block b and one in block c.
+    Swapping an element of b in the subset for one of c outside it moves
+    alpha to alpha - e_b + e_c, so a pair adds its moves, q sqrt(alpha_b
+    (kappa_c - alpha_c) (alpha_c + 1) (kappa_b - alpha_b + 1)) and the same
+    with b and c exchanged, off the diagonal: the root of the product of
+    the two opposite rates, the same bit for bit from either side. It adds
+    its stays, q (alpha_b alpha_c + (kappa_b - alpha_b)(kappa_c - alpha_c)),
+    or q C(kappa_b, 2) when b = c, on the diagonal, the one place where
+    pairs meet; they are summed there in the order of ``rates``."""
+    radix, _, codes, digits, _ = exponent_table(d, kappa)
+    A = np.zeros((codes.size, codes.size))  # before the temporaries: a heap hole below it lifts peak RSS
+    alphas = digits.T.astype(np.int64)
+    free = np.array(kappa, dtype=np.int64)[:, None] - alphas  # (n, M) room left in each block
+    stay = np.zeros(codes.size)
+    for (b, c), q in rates:
+        stay += q * (math.comb(kappa[b], 2) if b == c else alphas[b] * alphas[c] + free[b] * free[c])
+    (b, c), q = np.array([pair for pair, _ in rates]).T, np.array([q for _, q in rates])
+    moving = b != c
+    x, y = np.concatenate([b[moving], c[moving]]), np.concatenate([c[moving], b[moving]])
+    k, src = np.nonzero((alphas[x] > 0) & (free[y] > 0))  # ordered pair k moves state src by e_y - e_x
+    dst = np.searchsorted(codes, codes[src] + (radix[y] - radix[x])[k])
+    x, y = x[k], y[k]
+    root = np.sqrt(alphas[x, src] * free[y, src] * (alphas[y, src] + 1) * (free[x, src] + 1))
+    A[dst, src] = np.tile(q[moving], 2)[k] * root
+    A[np.diag_indices(codes.size)] = stay
+    return A
+
+
 def build_generator(basis: SubsetBasis, rates: TranspositionRates) -> np.ndarray:
     """The read-only generator matrix, a convex combination of
     transposition actions, symmetric and doubly stochastic: position
     (A, B) sums the rates of the transpositions mapping subset B to
-    subset A. Subsets are bitmasks, their exponent codes at kappa = 1^n,
-    which ascend in colex order, so each transposition is one gather over
-    the basis, taken in the order of the rates."""
+    subset A, added in the order of the rates. It is ``_generator`` at
+    kappa = 1^n, where a composition is a subset."""
     if rates.n != basis.n:
         raise ValueError(f"rates are on {rates.n} variables, basis on {basis.n}")
-    size = basis.size
-    if size == 2:
+    if basis.size == 2:
         # Only n=2, d=1 has a two-element basis; the single available
         # transposition is a pure swap there, which is periodic and puts
         # an eigenvalue at -1.
@@ -94,15 +125,9 @@ def build_generator(basis: SubsetBasis, rates: TranspositionRates) -> np.ndarray
             "a two-dimensional subset basis gives a periodic swap action; "
             "this configuration is excluded"
         )
-    masks = basis.table.codes
-    columns = np.arange(size)
-    L = np.zeros((size, size))
-    for (i, j), q in rates.rates.items():
-        # a subset holding exactly one of i and j swaps it for the other
-        moved = np.where(((masks >> i) ^ (masks >> j)) & 1, masks ^ ((1 << i) | (1 << j)), masks)
-        L[np.searchsorted(masks, moved), columns] += q
-    # each transposition is an involution, added in rate order, so (A, B)
-    # and (B, A) receive the same sum bit for bit
+    L = _generator(basis.d, (1,) * basis.n, rates.rates.items())
+    # (A, B) and (B, A) hold one transposition's move, q sqrt(1), so they
+    # agree bit for bit
     if not np.array_equal(L, L.T):
         raise ValueError("generator failed to come out symmetric")
     return _freeze(L)
@@ -161,11 +186,9 @@ def _checked_spectrum(A: np.ndarray, mass: np.ndarray):
         raise ValueError(f"top eigenvalue {w[0]} is not 1")
     if size > 1:
         if w[0] - w[1] <= 1e-9:
-            raise PeriodicFlowError("top eigenvalue is not simple")
+            raise PeriodicFlowError("periodic flow: top eigenvalue is not simple")
         if w[size - 1] <= -1.0 + 1e-9:
-            raise PeriodicFlowError(
-                f"bottom eigenvalue {w[size - 1]} is not strictly above -1"
-            )
+            raise PeriodicFlowError(f"periodic flow: bottom eigenvalue {w[size - 1]} is not strictly above -1")
     w[0] = 1.0
     vectors[:, 0] = mass / np.linalg.norm(mass)
     recon = (vectors * w) @ vectors.T

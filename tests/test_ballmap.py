@@ -15,6 +15,7 @@ from lorentzflow.ballmap import (
 from lorentzflow.certify import VerdictStatus, certify_multiaffine
 from lorentzflow.poly import HomPoly, MultiAffinePoly, normalize_at_ones, subset_basis
 from lorentzflow.polarization import stable_center
+from lorentzflow.samples import random_disjoint_form_product
 from lorentzflow.sep import centered_norm, flow, uniform_decomposition
 
 from flow_helpers import ball_coordinates, contractive_flow_check, equilibrium
@@ -119,6 +120,38 @@ class TestEscapeTime:
         assert np.linalg.norm(res.ball_point) == pytest.approx(
             math.exp(-res.sigma), rel=1e-12
         )
+
+
+def _flowed_members(n, d):
+    """Three seeded disjoint-form products at (n, d), flowed inside by 0.3."""
+    basis, dec = subset_basis(n, d), uniform_decomposition(n, d)
+    rng = np.random.default_rng(29)
+    return dec, [flow(random_disjoint_form_product(basis, rng), 0.3, dec) for _ in range(3)]
+
+
+@pytest.mark.parametrize("n, d", [(6, 3), (8, 4)])
+class TestMultiaffineDefaultsToTheChain:
+    """With no decomposition a multiaffine flow runs on the composition
+    chain at kappa = 1^n, which is the uniform decomposition bit for bit."""
+
+    def test_escape_time(self, n, d):
+        dec, members = _flowed_members(n, d)
+        oracle = multiaffine_lorentzian_oracle()
+        for f in members:
+            got, want = escape_time(f, oracle), escape_time(f, oracle, dec)
+            assert got.sigma == want.sigma
+            assert np.array_equal(got.anchor.coeffs, want.anchor.coeffs)
+            assert np.array_equal(got.ball_point, want.ball_point)
+
+    def test_trajectory(self, n, d):
+        dec, members = _flowed_members(n, d)
+        oracle = multiaffine_lorentzian_oracle()
+        times = (-0.2, 0.0, 0.3, 1.0)
+        for f in members:
+            for got, want in zip(trajectory(f, None, times, oracle), trajectory(f, dec, times, oracle)):
+                assert np.array_equal(got.poly.coeffs, want.poly.coeffs)
+                assert got.centered_norm == want.centered_norm
+                assert got.verdict.status is want.verdict.status
 
 
 class TestBallCoordinates:

@@ -291,6 +291,23 @@ class TestBallmapCommand:
         assert out["infinite_escape"] is True
 
 
+class TestPeriodicCappedInput:
+    """kappa = (1, 1), d = 1 is the periodic swap on the composition chain:
+    the capped commands exit 1 and say so."""
+
+    @pytest.mark.parametrize("argv", [
+        ["flow", "--polarized", "--times", "0,0.5"],
+        ["ballmap", "--space", "capped-lorentzian"],
+    ])
+    def test_exits_one_and_says_periodic(self, tmp_path, capsys, argv):
+        path = tmp_path / "swap.json"
+        pio.save_poly(HomPoly(2, 1, (1, 1), {(1, 0): 0.7, (0, 1): 0.3}), path)
+        assert cli.main(argv + ["--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "periodic" in captured.err
+
+
 class TestStrataCommand:
     def test_full_support_report(self, e23_file, capsys):
         rc = cli.main(["strata", "--input", str(e23_file)])
@@ -311,7 +328,8 @@ class TestStrataCommand:
         out = json.loads(capsys.readouterr().out)
         assert rc == 0
         assert out["m_convex"] is False
-        assert out["witness"] is not None
+        # B1 = 01 and B2 = 23: 0 leaves B1, and no element of B2 can replace it
+        assert out["witness"] == [[0, 1], [2, 3], 0]
 
 
 class TestSampleCommand:

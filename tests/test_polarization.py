@@ -27,7 +27,7 @@ from lorentzflow.polarization import (
     project_down,
     stable_center,
 )
-from lorentzflow.samples import random_form_product
+from lorentzflow.samples import random_disjoint_form_product, random_form_product
 from lorentzflow.sep import (
     FlowOverflowError,
     PeriodicFlowError,
@@ -344,6 +344,14 @@ class TestCompositionChain:
         with pytest.raises(ValueError, match="above the cap"):
             PolarizationPlan(4, d, kappa)
 
+    @pytest.mark.parametrize("n, d", [(5, 2), (6, 3), (8, 4), (10, 5), (12, 6)])
+    def test_unit_caps_are_the_uniform_decomposition(self, n, d):
+        """At kappa = 1^n the chain's fill adds the floats of the
+        transposition fill under uniform rates, in the same order."""
+        chain, dense = composition_chain(d, (1,) * n), uniform_decomposition(n, d)
+        for name in ("eigenvalues", "vectors", "weights"):
+            assert np.array_equal(getattr(chain, name), getattr(dense, name)), name
+
     def test_read_only_and_cached(self):
         chain = composition_chain(4, (4, 4, 4, 4))
         assert chain is composition_chain(4, (4, 4, 4, 4))
@@ -393,6 +401,21 @@ class TestCompositionChain:
         pio.save_poly(f, path)
         assert cli.main(["flow", "--polarized", "--input", str(path), "--times", "0,0.5,-0.1"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 4
+        assert dense_builds == []
+
+    def test_multiaffine_cli_runs_on_the_chain(self, dense_builds, tmp_path, capsys):
+        basis = subset_basis(6, 3)
+        f = flow(random_disjoint_form_product(basis, np.random.default_rng(29)), 0.3,
+                 composition_chain(3, (1,) * 6))
+        path = tmp_path / "multiaffine.json"
+        pio.save_poly(f, path)
+        assert cli.main(["ballmap", "--input", str(path)]) == 0
+        assert len(json.loads(capsys.readouterr().out)["ball_point"]) == basis.size - 1
+        assert cli.main(["flow", "--input", str(path), "--times", "0,0.5,-0.1"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4
+        assert cli.main(["sample", "--kind", "multiaffine", "--n", "6", "--d", "3", "--count", "2",
+                         "--interior", "0.3", "--output-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
         assert dense_builds == []
 
     def test_escape_matches_the_lifted_stepper(self):

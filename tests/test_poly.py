@@ -255,7 +255,6 @@ class TestPlumbing:
         assert np.allclose((a + b).coeffs, a.coeffs + b.coeffs)
         assert np.allclose((a - b).coeffs, a.coeffs - b.coeffs)
         assert np.allclose((2.5 * a).coeffs, 2.5 * a.coeffs)
-        assert a.l2_norm() == pytest.approx(float(np.linalg.norm(a.coeffs)))
 
     def test_support_tolerance(self):
         basis = subset_basis(3, 2)
