@@ -13,8 +13,8 @@ On block-symmetric vectors the uniform exclusion flow is the multi-urn
 Bernoulli-Laplace chain on the compositions alpha <= kappa, so capped
 flows run on that chain's few states and never build the lift; only a
 ``PolarizationPlan``, which holds the lifted basis, needs sum(kappa) <= 16.
-The chain is ``sep._generator`` at uniform rates, so at kappa = 1^n it
-is the uniform multiaffine flow bit for bit.
+The chain is ``sep._fill`` at uniform rates; at kappa = 1^n it takes the
+closed-form eigenbasis and is the uniform multiaffine flow bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .poly import HomPoly, MultiAffinePoly, MAX_VARS, exponent_table, subset_basis
-from .sep import SpectralDecomposition, _checked_spectrum, _generator, flow, uniform_decomposition
+from .sep import SpectralDecomposition, _checked_spectrum, _dense, _eigh, _fill, _johnson, flow, uniform_decomposition
 
 
 class PolarizationPlan:
@@ -133,9 +133,9 @@ def project_down(g: MultiAffinePoly, plan: PolarizationPlan) -> HomPoly:
 
 @lru_cache(maxsize=32)
 def lifted_decomposition(lifted_n: int, d: int) -> SpectralDecomposition:
-    """Cached uniform-rate spectral decomposition on the lifted basis: the
-    dense reference that ``composition_chain`` reduces, kept for callers
-    that flow lifted polynomials themselves."""
+    """Cached uniform-rate spectral decomposition on the lifted basis, in
+    closed form: the flow that ``composition_chain`` reduces, kept for
+    callers that flow lifted polynomials themselves."""
     return uniform_decomposition(lifted_n, d)
 
 
@@ -143,21 +143,22 @@ def lifted_decomposition(lifted_n: int, d: int) -> SpectralDecomposition:
 def composition_chain(d: int, kappa: tuple) -> SpectralDecomposition:
     """The multi-urn Bernoulli-Laplace chain on the compositions
     alpha <= kappa of d (Diaconis-Shahshahani 1987), which is the lifted
-    uniform flow seen on block-symmetric vectors: ``sep._generator`` at
+    uniform flow seen on block-symmetric vectors: ``sep._fill`` at
     rate 1 / C(N, 2), N = sum(kappa), on every lifted pair. The chain is
     reversible for w = prod_i C(kappa_i, alpha_i), so the fill is the
     symmetric D^(1/2) P D^(-1/2), D = diag(w), and ``_checked_spectrum``
-    decomposes it with weights sqrt(w). At kappa = 1^n it adds the floats
-    of ``sep.build_generator`` under uniform rates in the same order, so
-    it is ``uniform_decomposition(n, d)`` bit for bit."""
+    checks its eigenbasis with weights sqrt(w). At kappa = 1^n the
+    weights are 1 and the eigenbasis is the closed form ``sep._johnson``,
+    so it is ``uniform_decomposition(n, d)`` bit for bit."""
     total = sum(kappa)
     if total < 2:
         raise ValueError(f"need at least two lifted variables, got {total}")
     q = 1.0 / math.comb(total, 2)
     pairs = itertools.combinations_with_replacement(range(len(kappa)), 2)
-    A = _generator(d, kappa, [(pair, q) for pair in pairs])
+    fill = _fill(d, kappa, [(pair, q) for pair in pairs])
     weights = np.sqrt(_binomials(d, kappa).prod(axis=0))
-    eigenvalues, vectors = _checked_spectrum(A, weights)
+    eig = _johnson(total, d) if max(kappa) == 1 else _eigh(_dense(fill))  # kappa = 1^n: the uniform flow
+    eigenvalues, vectors = _checked_spectrum(fill, weights, eig)
     return SpectralDecomposition(None, eigenvalues, vectors, None, d=d, kappa=kappa, weights=weights)
 
 
@@ -169,8 +170,7 @@ def _on_chain(f, plan: PolarizationPlan | None, dec: SpectralDecomposition | Non
         plan = plan or PolarizationPlan(f.n, f.d, f.kappa)
         if dec.basis != plan.lifted_basis:
             raise ValueError(f"decomposition lives on {dec.basis!r}, plan expects {plan.lifted_basis!r}")
-        pairs = math.comb(plan.lifted_n, 2)
-        if len(dec.rates.rates) != pairs or set(dec.rates.rates.values()) != {1.0 / pairs}:
+        if not dec.rates.uniform:
             raise ValueError("capped flows use uniform rates on the lifted variables")
     if plan is not None:
         f = _on_plan(f, plan)

@@ -170,6 +170,17 @@ class TestSpectrumCommand:
         assert rc == 1
         assert "periodic" in capsys.readouterr().err
 
+    def test_periodic_swap_has_one_message(self, tmp_path, capsys):
+        # the (2,1) swap: spectrum refuses it, and so does ballmap on a
+        # (2,1) input, with the same line
+        assert cli.main(["spectrum", "--n", "2", "--d", "1"]) == 1
+        spectrum_err = capsys.readouterr().err
+        path = tmp_path / "swap.json"
+        pio.save_poly(MultiAffinePoly(subset_basis(2, 1), [0.7, 0.3]), path)
+        assert cli.main(["ballmap", "--input", str(path)]) == 1
+        assert capsys.readouterr().err == spectrum_err
+        assert spectrum_err.startswith("lorentzflow: error: periodic flow: ")
+
 
 def _rates_file(path, n, seed, total=1.0, pairs=None):
     """A seeded non-uniform rates file: a spanning path plus random further

@@ -7,11 +7,15 @@ import math
 import numpy as np
 import pytest
 
+from lorentzflow import polarization
 from lorentzflow.poly import MultiAffinePoly, elementary_symmetric, normalize_at_ones, subset_basis
 from lorentzflow.sep import (
     FlowOverflowError,
     PeriodicFlowError,
     TranspositionRates,
+    _checked_spectrum,
+    _fill,
+    _johnson,
     build_generator,
     centered_norm,
     eigen_coords,
@@ -154,6 +158,84 @@ class TestSpectral:
         # the raw two-state swap has eigenvalues 1, -1
         with pytest.raises(PeriodicFlowError):
             build_generator(subset_basis(2, 1), uniform_rates(2))
+
+
+# every shape up to n = 12, d > n/2, n = 2d and the size-1 basis d = n
+# included, and (16,4), the lifted basis of kappa = (4,4,4,4), d = 4
+JOHNSON_SHAPES = [(n, d) for n in range(2, 13) for d in range(1, n + 1)] + [(16, 4)]
+
+
+def _eigh_reference(n, d):
+    """The dense oracle of the closed form: the uniform generator and its
+    descending eigenvalues and eigenvectors from ``np.linalg.eigh``.
+    ``build_generator`` refuses the periodic (2, 1) swap, so the loop
+    builds that one."""
+    basis, rates = subset_basis(n, d), uniform_rates(n)
+    A = build_generator_reference(basis, rates) if basis.size == 2 else np.asarray(build_generator(basis, rates))
+    w, V = np.linalg.eigh(A)
+    return A, w[::-1], V[:, ::-1]
+
+
+def _seeded_rates(n, seed):
+    """Non-uniform rates on a spanning path plus random further pairs."""
+    rng = np.random.default_rng(seed)
+    pairs = [p for p in itertools.combinations(range(n), 2) if p[1] == p[0] + 1 or rng.random() < 0.5]
+    weights = rng.random(len(pairs)) + 0.1
+    return TranspositionRates(n, dict(zip(pairs, weights / weights.sum())))
+
+
+class TestJohnsonClosedForm:
+    @pytest.mark.parametrize("n, d", JOHNSON_SHAPES)
+    def test_matches_the_eigh_oracle(self, n, d):
+        A, w_ref, V_ref = _eigh_reference(n, d)
+        lam, V = _johnson(n, d)
+        size = math.comb(n, d)
+        johnson = [1 - k * (n + 1 - k) / math.comb(n, 2) for k in range(min(d, n - d) + 1)]
+        multiplicity = [math.comb(n, k) - (math.comb(n, k - 1) if k else 0) for k in range(len(johnson))]
+        assert np.array_equal(lam, np.repeat(johnson, multiplicity))
+        assert np.linalg.norm(A @ V - V * lam) <= 1e-12 * np.linalg.norm(A)
+        assert np.linalg.norm(V.T @ V - np.eye(size)) <= 1e-12 * size
+        if (n, d) == (2, 1):
+            with pytest.raises(PeriodicFlowError):
+                uniform_decomposition(n, d)
+            return
+        dec = uniform_decomposition(n, d)
+        assert np.array_equal(dec.eigenvalues, lam)
+        f = MultiAffinePoly(subset_basis(n, d), np.random.default_rng(n * 17 + d).standard_normal(size))
+        for s in (-0.3, 0.05, 2.0):
+            want = V_ref @ (np.exp(-s * (1 - w_ref)) * (V_ref.T @ f.coeffs))
+            assert np.linalg.norm(flow(f, s, dec).coeffs - want) <= 1e-12 * np.linalg.norm(want), s
+
+    def test_uniform_flows_call_no_eigensolver(self, monkeypatch):
+        shapes, eigh = [], np.linalg.eigh
+
+        def counted(A, *args, **kwargs):
+            shapes.append(A.shape)
+            return eigh(A, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        polarization.lifted_decomposition.cache_clear()
+        polarization.composition_chain.cache_clear()
+        uniform_decomposition(12, 6)
+        polarization.lifted_decomposition(16, 4)
+        polarization.composition_chain(6, (1,) * 12)
+        assert shapes == []
+        spectral(subset_basis(6, 3), _seeded_rates(6, 30))
+        assert shapes == [(20, 20)]
+
+    def test_checks_stay_live(self):
+        n, d = 8, 4
+        fill, mass = _fill(d, (1,) * n, uniform_rates(n).rates.items()), np.ones(math.comb(n, d))
+        lam, V = _johnson(n, d)
+        _checked_spectrum(fill, mass, (lam.copy(), V.copy()))
+        bent = V.copy()
+        bent[:, 5] += 1e-6 * np.random.default_rng(30).standard_normal(V.shape[0])
+        with pytest.raises(RuntimeError):
+            _checked_spectrum(fill, mass, (lam.copy(), bent))
+        swapped = lam.copy()
+        swapped[[1, -1]] = swapped[[-1, 1]]
+        with pytest.raises(RuntimeError):
+            _checked_spectrum(fill, mass, (swapped, V.copy()))
 
 
 class TestPrimitivity:
