@@ -8,8 +8,7 @@ anchor's direction, scaled by exp(-exit time), is a candidate ball
 coordinate for the space. Directions are read in the weighted Helmert
 frame of the flow's centered coordinates c / w, with w the weights of the
 flow's ``SpectralDecomposition``: a fixed orthonormal basis of the
-complement of w, so they do not depend on which eigenvectors the
-eigensolver returned inside a repeated eigenvalue. A ball point has one
+complement of w, which needs no eigenvector. A ball point has one
 coordinate fewer than the polynomial has coefficients. Multiaffine inputs
 have w = 1, the Helmert frame of the centered coefficient vector. Capped
 inputs flow and are framed on their composition chain, with no lift: on
@@ -37,7 +36,7 @@ from .certify import (
 )
 from .poly import HomPoly
 from .polarization import PolarizationPlan, _on_chain
-from .sep import SpectralDecomposition, _centered, centered_norm, flow
+from .sep import SpectralDecomposition, _centered, _flow_at, centered_norm
 
 # centered norms below this are treated as the flow's fixed point
 CENTER_EPS = 1e-10
@@ -139,24 +138,25 @@ def escape_time(
         raise InfiniteEscape("input is the flow's fixed point")
     if not oracle.is_member(f):
         raise ValueError("input is not a member of the oracle's space")
+    at = _flow_at(f, dec)  # every trial time reuses f's eigenspace parts
     # keep the overflow guard of the backward flow out of reach
     gap_max = 1.0 - float(dec.eigenvalues[-1])
     s_cap = min(s_max, 690.0 / gap_max)
     lo = 0.0
     hi = max(tol, 1e-3)
-    while oracle.is_member(flow(f, -hi, dec)):
+    while oracle.is_member(at(-hi)):
         lo = hi
         hi *= 2.0
         if hi > s_cap:
             raise EscapeNotBracketed(f"still a member after backward time {lo}")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if oracle.is_member(flow(f, -mid, dec)):
+        if oracle.is_member(at(-mid)):
             lo = mid
         else:
             hi = mid
     sigma = 0.5 * (lo + hi)
-    anchor = flow(f, -sigma, dec)
+    anchor = at(-sigma)
     x = _helmert(_centered(anchor, dec), dec.weights)
     nrm = float(np.linalg.norm(x))
     direction = x / nrm
@@ -177,9 +177,10 @@ def trajectory(f, dec, times, oracle: MembershipOracle | None = None, plan=None)
     """Flow snapshots at the given times: polynomial, centered norm, and
     (when an oracle is supplied) the certification verdict."""
     f, dec = _decomposition(f, dec, plan)
+    at = _flow_at(f, dec)
     rows = []
     for t in times:
-        g = flow(f, float(t), dec)
+        g = at(float(t))
         rows.append(
             TrajectorySample(
                 float(t),

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
 
 import numpy as np
@@ -28,7 +30,7 @@ from .certify import (
 )
 from .poly import HomPoly, MultiAffinePoly, normalize_at_ones, subset_basis
 from .polarization import PolarizationPlan, polarize_up, polarized_flow, project_down
-from .sep import TranspositionRates, spectral, uniform_rates
+from .sep import TranspositionRates, _johnson_spectrum, spectral, uniform_rates
 from .strata import support_stratum
 
 
@@ -132,14 +134,19 @@ def cmd_flow(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    dec = spectral(subset_basis(args.n, args.d), _load_rates(args, args.n))
+    basis = subset_basis(args.n, args.d)
+    n, d, rates = basis.n, basis.d, _load_rates(args, basis.n)
+    if rates.uniform:  # the closed-form Johnson values: nothing is built
+        eigenvalues = _johnson_spectrum(n, [math.comb(n, k) for k in range(min(d, n - d) + 1)])[1]
+    else:
+        eigenvalues = spectral(basis, rates).eigenvalues
     obj = {
-        "n": args.n,
-        "d": args.d,
-        "basis_size": dec.size,
-        "eigenvalues": [float(v) for v in dec.eigenvalues],
-        "spectral_gap": dec.spectral_gap,
-        "lambda_min": float(dec.eigenvalues[-1]),
+        "n": n,
+        "d": d,
+        "basis_size": eigenvalues.size,
+        "eigenvalues": [float(v) for v in eigenvalues],
+        "spectral_gap": float(1.0 - eigenvalues[1]) if eigenvalues.size > 1 else 0.0,
+        "lambda_min": float(eigenvalues[-1]),
     }
     _emit(pio.dumps(obj), args.output)
     return 0
@@ -210,6 +217,7 @@ def cmd_strata(args) -> int:
 
 def cmd_sample(args) -> int:
     _announce_seed(args.seed)
+    os.makedirs(args.output_dir, exist_ok=True)
     rng = np.random.default_rng(args.seed)
     names = []
     for k in range(args.count):

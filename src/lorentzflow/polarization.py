@@ -13,20 +13,20 @@ On block-symmetric vectors the uniform exclusion flow is the multi-urn
 Bernoulli-Laplace chain on the compositions alpha <= kappa, so capped
 flows run on that chain's few states and never build the lift; only a
 ``PolarizationPlan``, which holds the lifted basis, needs sum(kappa) <= 16.
-The chain is ``sep._fill`` at uniform rates; at kappa = 1^n it takes the
-closed-form eigenbasis and is the uniform multiaffine flow bit for bit.
+For every kappa the chain holds the inclusion maps of
+``sep._InclusionMaps`` and no eigenbasis; at kappa = 1^n it is the
+uniform multiaffine flow.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 
 import numpy as np
 
 from .poly import HomPoly, MultiAffinePoly, MAX_VARS, exponent_table, subset_basis
-from .sep import SpectralDecomposition, _checked_spectrum, _dense, _eigh, _fill, _johnson, flow, uniform_decomposition
+from .sep import SpectralDecomposition, _binomials, _uniform, flow, uniform_decomposition
 
 
 class PolarizationPlan:
@@ -61,17 +61,6 @@ class PolarizationPlan:
 
     def __repr__(self):
         return f"PolarizationPlan(n={self.n}, d={self.d}, kappa={self.kappa})"
-
-
-@lru_cache(maxsize=32)
-def _binomials(d: int, kappa: tuple) -> np.ndarray:
-    """C(kappa_i, alpha_i), shape (n, N), over the exponents of
-    ``exponent_table(d, kappa)``: the number of ways block i picks alpha_i
-    of its variables. Read-only."""
-    comb = np.array([[math.comb(k, a) for a in range(d + 1)] for k in kappa], dtype=float)
-    binom = np.take_along_axis(comb, exponent_table(d, kappa).digits.T, axis=1)
-    binom.flags.writeable = False
-    return binom
 
 
 def _lift_values(f) -> np.ndarray:
@@ -133,9 +122,9 @@ def project_down(g: MultiAffinePoly, plan: PolarizationPlan) -> HomPoly:
 
 @lru_cache(maxsize=32)
 def lifted_decomposition(lifted_n: int, d: int) -> SpectralDecomposition:
-    """Cached uniform-rate spectral decomposition on the lifted basis, in
-    closed form: the flow that ``composition_chain`` reduces, kept for
-    callers that flow lifted polynomials themselves."""
+    """Cached uniform flow on the lifted basis, from its inclusion maps:
+    the flow that ``composition_chain`` reduces, kept for callers that
+    flow lifted polynomials themselves."""
     return uniform_decomposition(lifted_n, d)
 
 
@@ -143,23 +132,14 @@ def lifted_decomposition(lifted_n: int, d: int) -> SpectralDecomposition:
 def composition_chain(d: int, kappa: tuple) -> SpectralDecomposition:
     """The multi-urn Bernoulli-Laplace chain on the compositions
     alpha <= kappa of d (Diaconis-Shahshahani 1987), which is the lifted
-    uniform flow seen on block-symmetric vectors: ``sep._fill`` at
-    rate 1 / C(N, 2), N = sum(kappa), on every lifted pair. The chain is
-    reversible for w = prod_i C(kappa_i, alpha_i), so the fill is the
-    symmetric D^(1/2) P D^(-1/2), D = diag(w), and ``_checked_spectrum``
-    checks its eigenbasis with weights sqrt(w). At kappa = 1^n the
-    weights are 1 and the eigenbasis is the closed form ``sep._johnson``,
-    so it is ``uniform_decomposition(n, d)`` bit for bit."""
-    total = sum(kappa)
-    if total < 2:
-        raise ValueError(f"need at least two lifted variables, got {total}")
-    q = 1.0 / math.comb(total, 2)
-    pairs = itertools.combinations_with_replacement(range(len(kappa)), 2)
-    fill = _fill(d, kappa, [(pair, q) for pair in pairs])
-    weights = np.sqrt(_binomials(d, kappa).prod(axis=0))
-    eig = _johnson(total, d) if max(kappa) == 1 else _eigh(_dense(fill))  # kappa = 1^n: the uniform flow
-    eigenvalues, vectors = _checked_spectrum(fill, weights, eig)
-    return SpectralDecomposition(None, eigenvalues, vectors, None, d=d, kappa=kappa, weights=weights)
+    uniform flow seen on block-symmetric vectors, for every cap vector:
+    its ``sep._InclusionMaps`` split a vector into Johnson eigenspace
+    parts with no eigenbasis. The chain is reversible for
+    W = prod_i C(kappa_i, alpha_i), and its weights are sqrt(W). At
+    kappa = 1^n it is ``uniform_decomposition(n, d)``."""
+    if sum(kappa) < 2:
+        raise ValueError(f"need at least two lifted variables, got {sum(kappa)}")
+    return _uniform(d, kappa)
 
 
 def _on_chain(f, plan: PolarizationPlan | None, dec: SpectralDecomposition | None):
@@ -185,10 +165,10 @@ def polarized_flow(
 ) -> HomPoly:
     """Flow a capped or multiaffine polynomial for time ``s``: the
     uniform-rate flow on the lifted variables, which ``sep.flow`` runs on
-    the composition chain of f's (d, kappa) as c' = sqrt(w) V
-    diag(exp(-s (1 - lambda))) V^T (c / sqrt(w)) on the coefficients c in
-    code order. A decomposition ``dec`` is only checked to be the uniform
-    one on the plan's lifted basis; it is not used."""
+    the composition chain of f's (d, kappa) as
+    c' = W (P_0 g + sum_k exp(-s (1 - lambda_k)) P_k g), g = c / W, on the
+    coefficients c in code order. A decomposition ``dec`` is only checked
+    to be the uniform one on the plan's lifted basis; it is not used."""
     f, chain = _on_chain(f, plan, dec)
     return flow(f, s, chain)
 

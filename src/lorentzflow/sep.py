@@ -2,24 +2,27 @@
 coefficients.
 
 A convex combination of variable transpositions acts on the subset basis
-as a symmetric doubly stochastic matrix. Its spectral decomposition gives
-a closed-form flow: the mass-preserving direction is left alone and every
-orthogonal mode decays (forward time) or grows (backward time) at a rate
-set by its eigenvalue gap. All flow operations here go through that
-spectral form, so the semigroup law holds to round-off in both time
-directions. One generator fill, ``_fill``, serves ``build_generator``
-and ``polarization.composition_chain``, uniform flows take a closed-form
-eigenbasis, ``_johnson``, and one ``flow`` serves both polynomial types.
+as a symmetric doubly stochastic matrix. The flow splits a coefficient
+vector into its eigenspace parts: the mass-preserving part is left alone
+and every other part decays (forward time) or grows (backward time) at a
+rate set by its eigenvalue gap, so the semigroup law holds to round-off in
+both time directions. Uniform rates, on every cap vector, hold no
+eigenbasis: ``_InclusionMaps`` finds the Johnson eigenspace parts from the
+maps that add and remove one lifted variable, and their eigenvalues are in
+closed form. Only custom rates build the dense generator (``_fill``, one
+fill for every generator) and call the eigensolver. One ``flow`` serves
+both polynomial types.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from .poly import SubsetBasis, _freeze, exponent_table, subset_basis
+from .poly import SubsetBasis, _freeze, exponent_code, exponent_table, subset_basis
 
 # exp overflow guard for backward flow; doubles top out near exp(709)
 _MAX_EXPONENT = 700.0
@@ -84,6 +87,17 @@ def uniform_rates(n: int) -> TranspositionRates:
     return TranspositionRates(n, {p: 1.0 / len(pairs) for p in pairs})
 
 
+@lru_cache(maxsize=32)
+def _binomials(d: int, kappa: tuple) -> np.ndarray:
+    """C(kappa_i, alpha_i), shape (n, N), over the exponents of
+    ``exponent_table(d, kappa)``: the number of ways block i picks alpha_i
+    of its variables. Read-only."""
+    comb = np.array([[math.comb(k, a) for a in range(d + 1)] for k in kappa], dtype=float)
+    binom = np.take_along_axis(comb, exponent_table(d, kappa).digits.T, axis=1)
+    binom.flags.writeable = False
+    return binom
+
+
 def _fill(d: int, kappa: tuple, rates):
     """The symmetrized generator of the exclusion flow on the compositions
     alpha <= kappa of d, in code order, as distinct entries (dst, src,
@@ -141,27 +155,171 @@ def build_generator(basis: SubsetBasis, rates: TranspositionRates) -> np.ndarray
     return _freeze(L)
 
 
+def _johnson_spectrum(total: int, sizes) -> np.ndarray:
+    """The eigenvalue of every Johnson label k, 1 - k (total + 1 - k) /
+    C(total, 2) (Delsarte 1973), and the descending spectrum on levels of
+    ``sizes`` compositions, where label k has multiplicity
+    sizes[k] - sizes[k - 1]. Refuses the periodic swap, total = 2 at
+    degree 1."""
+    labels = np.arange(len(sizes))
+    values = 1.0 - labels * (total + 1 - labels) / math.comb(total, 2)
+    spectrum = np.repeat(values, np.diff(sizes, prepend=0))
+    if spectrum[-1] <= -1.0 + 1e-9:
+        raise PeriodicFlowError(_PERIODIC.format(spectrum[-1]))
+    return values, spectrum
+
+
+def _inclusion(src: np.ndarray, dst: np.ndarray, room: np.ndarray, step: np.ndarray, weighted: bool):
+    """The map onto the level of codes ``dst`` from that of ``src``,
+    slot-major: row r gathers the codes dst[r] + step[b], weighted
+    room[r, b] > 0, and pads with src.size, an appended zero. Every
+    neighbour code must be found exactly."""
+    live = room > 0
+    rows, blocks = np.nonzero(live)
+    slots = (np.cumsum(live, axis=1) - 1)[rows, blocks]
+    target = dst[rows] + step[blocks]
+    index = np.searchsorted(src, target)
+    if not np.array_equal(src[np.minimum(index, src.size - 1)], target):
+        raise RuntimeError("inclusion map: a neighbour code is missing from its level")
+    gather = np.full((int(live.sum(axis=1).max()), dst.size), src.size, dtype=np.intp)
+    gather[slots, rows] = index
+    if not weighted:
+        return gather, None
+    weight = np.zeros(gather.shape)
+    weight[slots, rows] = room[rows, blocks]
+    return gather, weight
+
+
+def _apply(x: np.ndarray, inclusion) -> np.ndarray:
+    """An ``_inclusion`` applied to x (vector or columns, last row the
+    appended zero): one gather, one sum over the slots, a zero appended."""
+    gather, weight = inclusion
+    y = np.take(x, gather, axis=0)
+    if weight is not None:
+        y *= weight if x.ndim == 1 else weight[:, :, None]
+    out = np.empty((gather.shape[1] + 1,) + x.shape[1:])
+    np.add.reduce(y, axis=0, out=out[:-1])
+    out[-1] = 0.0
+    return out
+
+
+class _InclusionMaps:
+    """The uniform flow on the compositions alpha <= kappa of d with no
+    eigenbasis. On block-symmetric functions g = c / W of lifted subsets,
+    W = prod_b C(kappa_b, alpha_b), ``up[j]`` adds a lifted variable to
+    level j, (Ug)(alpha) = sum_b alpha_b g(alpha - e_b), and ``down[j]``,
+    D = U^T, removes one from level j + 1, (Dg)(beta) = sum_b
+    (kappa_b - beta_b) g(beta + e_b), for j < L = min(d, N - d),
+    N = sum(kappa). On level L the generator is a I + b (UD - L I). By the
+    lattice's sl_2 action (Proctor 1982) level L is the sum of the Johnson
+    eigenspaces U^(L-k) ker D (Filmus 2016), and D U^t h =
+    t (N - 2k - t + 1) U^(t-1) h on ker D at level k, so one sweep down
+    and one up find every part P_k g. For d > N/2, g is read on the
+    complements kappa - alpha, level N - d in reversed code order, which
+    commute with the flow."""
+
+    __slots__ = ("binomials", "count", "flip", "sizes", "up", "down", "sweep", "a", "b", "eigenvalues", "spectrum",
+                 "live")
+
+    def __init__(self, d: int, kappa: tuple):
+        total = sum(kappa)
+        top = min(d, total - d)
+        caps = np.array(kappa, dtype=np.int64)
+        # one radix for every level, the radix of level d's own table
+        radix, base, *codes = exponent_code(kappa, d, *range(top + 1), d)
+        self.sizes = [c.size for c in codes[:-1]]
+        self.eigenvalues, self.spectrum = _johnson_spectrum(total, self.sizes)
+        digits = [(c[:, None] // radix) % base for c in codes]
+        self.flip = top < d
+        if self.flip and not np.array_equal(digits[top], caps - digits[-1][::-1]):
+            raise RuntimeError("complements are not in reversed code order")
+        weighted = max(kappa) > 1
+        self.up = [_inclusion(codes[j], codes[j + 1], digits[j + 1], -radix, weighted) for j in range(top)]
+        self.down = [_inclusion(codes[j + 1], codes[j], caps - digits[j], radix, weighted) for j in range(top)]
+        self.binomials = _binomials(d, kappa).prod(axis=0) if weighted else 1.0  # W
+        self.count = math.comb(total, d)  # sum of the binomials, the lifted basis size
+        self.live = np.flatnonzero(np.diff(self.sizes, prepend=0)[1:]) + 1  # labels of nonzero multiplicity
+        # D^(L-j) U^(L-k) h_k = sweep[j, k] U^(j-k) h_k: the product of t (N - 2k - t + 1), j - k < t <= L - k
+        self.sweep = np.zeros((top + 1, top + 1))
+        for k in range(1, top + 1):
+            for j in range(k, top + 1):
+                self.sweep[j, k] = math.prod(t * (total - 2 * k - t + 1) for t in range(j - k + 1, top - k + 1))
+        self.b = 1.0 / math.comb(total, 2)
+        self.a = self.b * (math.comb(top, 2) + math.comb(total - top, 2))
+
+    def generator(self, x: np.ndarray, shift=0.0) -> np.ndarray:
+        """a x + b (UD x - L x) - shift x on the columns of x, vectors on
+        level L: one lowering and one raising of the whole stack."""
+        top = len(self.up)
+        ud = _apply(_apply(np.concatenate((x, np.zeros((1, x.shape[1])))), self.down[top - 1]), self.up[top - 1])
+        return self.b * ud[:-1] + (self.a - self.b * top - shift) * x
+
+    def check(self, parts: np.ndarray, scale: float) -> None:
+        """Every part P_k g, a column of ``parts``, must satisfy
+        |A P_k g - lambda_k P_k g|_inf <= 1e-10 scale, scale = |g - P_0 g|_inf."""
+        worst = float(np.abs(self.generator(parts, self.eigenvalues[1:])).max(initial=0.0))
+        if not worst <= 1e-10 * scale:
+            raise RuntimeError(f"eigenspace parts fail the eigen-equation: residual {worst:.3g} against {scale:.3g}")
+
+    def parts(self, coeffs: np.ndarray):
+        """P_0 g = sum(c) / sum(W), taken out first so that the mean does
+        not cancel against the small parts, and the checked parts P_k g of
+        g = c / W, labels of nonzero multiplicity, as (M, m) columns."""
+        g = coeffs / self.binomials
+        mass = float(coeffs.sum()) / self.count
+        top = len(self.up)
+        if top == 0:
+            return mass, np.zeros((g.size, 0))
+        x = g - mass
+        # the mass that rounding leaves in g - P_0 g goes back to P_0
+        drift = float((x * self.binomials).sum()) / self.count
+        mass, x = mass + drift, x - drift
+        levels = [None] * (top + 1)  # g_j = D^(L-j) (g - P_0 g), each with the appended zero
+        levels[top] = np.append(x[::-1] if self.flip else x, 0.0)
+        for j in range(top - 1, 0, -1):
+            levels[j] = _apply(levels[j + 1], self.down[j])
+        # h_j = (g_j - sum_{k<j} sweep[j, k] U^(j-k) h_k) / sweep[j, j]; stack holds U^(j-k) h_k, k <= j
+        stack = (levels[1] / self.sweep[1, 1])[:, None]
+        for j in range(2, top + 1):
+            raised = _apply(stack, self.up[j - 1])
+            h = (levels[j] - raised @ self.sweep[j, 1:j]) / self.sweep[j, j]
+            stack = np.concatenate((raised, h[:, None]), axis=1)
+        stack = stack[:-1]
+        self.check(stack, float(np.abs(x).max()))
+        if self.live.size < top:
+            stack = stack[:, self.live - 1]
+        return mass, stack[::-1] if self.flip else stack
+
+
 class SpectralDecomposition:
-    """Descending eigenvalues and an orthonormal eigenbasis V of a symmetric
-    generator for the polynomials with (n, d, kappa), and read-only
-    ``weights`` w: the flow maps c to w V e^{-s(1-lambda)} V^T (c / w).
-    On a subset ``basis`` w = 1; on the composition chain, which has no
-    basis or rates, w_alpha = sqrt(prod_i C(kappa_i, alpha_i)). The top
-    eigenvalue is pinned to 1 with eigenvector w / |w|. Inside a repeated
-    eigenvalue the eigenvectors are ``_johnson``'s for uniform flows, else
-    the eigensolver's: the flow acts on each eigenspace as a whole, so
-    nothing downstream depends on that choice of basis."""
+    """The flow for the polynomials with (n, d, kappa): descending
+    ``eigenvalues``, the top one 1, and read-only ``weights`` w of the
+    orthonormal coordinates c / w, 1 on a subset ``basis`` and
+    sqrt(prod_i C(kappa_i, alpha_i)) on the composition chain, which has no
+    basis or rates. Uniform rates hold ``_InclusionMaps`` and closed-form
+    eigenvalues, custom rates the eigensolver's eigenbasis ``vectors``. A
+    uniform decomposition builds ``vectors`` from the dense generator only
+    when read; no flow reads it."""
 
-    __slots__ = ("basis", "eigenvalues", "vectors", "rates", "n", "d", "kappa", "weights")
+    __slots__ = ("basis", "eigenvalues", "_vectors", "rates", "n", "d", "kappa", "weights", "_maps")
 
-    def __init__(self, basis, eigenvalues, vectors, rates, *, d=None, kappa=None, weights=None):
+    def __init__(self, basis, eigenvalues, vectors, rates, *, d=None, kappa=None, weights=None, maps=None):
         if basis is not None:
             d, kappa = basis.d, (1,) * basis.n
-        self.basis, self.rates = basis, rates
+        self.basis, self.rates, self._maps = basis, rates, maps
         self.n, self.d, self.kappa = len(kappa), d, kappa
         self.eigenvalues = _freeze(np.array(eigenvalues, dtype=float))
-        self.vectors = _freeze(np.array(vectors, dtype=float))
+        self._vectors = None if vectors is None else _freeze(np.array(vectors, dtype=float))
         self.weights = _freeze(np.ones(self.size) if weights is None else np.array(weights, dtype=float))
+
+    @property
+    def vectors(self) -> np.ndarray:
+        if self._vectors is None:
+            q = 1.0 / math.comb(sum(self.kappa), 2)
+            pairs = itertools.combinations_with_replacement(range(self.n), 2)
+            fill = _fill(self.d, self.kappa, [(pair, q) for pair in pairs])
+            self._vectors = _freeze(_checked_spectrum(fill, self.weights, _eigh(_dense(fill)))[1])
+        return self._vectors
 
     @property
     def size(self) -> int:
@@ -177,43 +335,12 @@ class SpectralDecomposition:
         return f"SpectralDecomposition(n={self.n}, d={self.d}, kappa={self.kappa}, size={self.size})"
 
 
-def _johnson(n: int, d: int):
-    """Descending eigenvalues and an orthonormal eigenbasis of the uniform
-    generator on the d-subsets of n >= 2, with no eigensolver: the Johnson
-    scheme J(n, d) gives label k the eigenvalue 1 - k (n + 1 - k) / C(n, 2)
-    (Delsarte 1973). In colex order the subsets without n - 1, J(n - 1, d),
-    precede those with it, J(n - 1, d - 1), and for n >= 2d the adjacency
-    is [[A', B^T], [B, A'']], B the inclusion of (d-1)- in d-subsets. A
-    column u of J(n - 1, d) of label k < d pairs with v = B u / sigma,
-    sigma^2 = (d - k)(n - d - k), and a 2 x 2 rotation turns [u; 0], [0; v]
-    into columns of labels k and k + 1; label d spans ker B and stays
-    [u; 0]. Complements reverse colex order, and J(n, 1) is Helmert's."""
-    sizes = [math.comb(n, k) for k in range(min(d, n - d) + 1)]  # label k has C(n, k) - C(n, k - 1) columns
-    labels = np.searchsorted(sizes, np.arange(sizes[-1]), side="right")
-    eigenvalues = 1.0 - labels * (n + 1 - labels) / math.comb(n, 2)
-    if 2 * d > n:
-        return eigenvalues, _johnson(n, n - d)[1][::-1]
-    if d < 2:  # the Helmert basis of the n singletons, or of the empty set alone
-        m = np.arange(math.comb(n, d))
-        V = np.triu(np.ones((m.size, m.size)), 1)
-        V[m, m], V[:, 0] = -m, 1.0
-        return eigenvalues, V / np.sqrt(np.where(m > 0, m * (m + 1.0), m.size))
-    w, U = _johnson(n - 1, d)
-    k = np.cumsum(np.diff(w, prepend=1.0) < 0)  # a column's label counts the eigenvalue drops up to it
-    n1, n2 = U.shape[0], math.comb(n - 1, d - 1)  # the n2 columns of label < d come first
-    below, here = (exponent_table(j, (1,) * (n - 1)).codes for j in (d - 1, d))
-    up = below[:, None] | (1 << np.arange(n - 1))
-    gather = np.searchsorted(here, up[up != below[:, None]]).reshape(n2, n - d)
-    Bu = sum(U[g, :n2] for g in gather.T)  # one gather per free slot of the (d-1)-subsets
-    Bu /= np.sqrt((d - k[:n2]) * (n - d - k[:n2]))
-    c, s = np.sqrt((n - d - k) / (n - 2.0 * k)), np.sqrt((d - k) / (n - 2.0 * k))
-    # label k starts at C(n, k - 1): column j of U goes to j + C(n - 1, k - 2), its partner to j + C(n - 1, k + 1)
-    shift = np.array([0, 0] + [math.comb(n - 1, j) for j in range(d + 2)])
-    same, plus = np.arange(n1) + shift[k], np.arange(n2) + shift[k[:n2] + 3]
-    V = np.zeros((n1 + n2, n1 + n2))
-    V[:n1, same], V[n1:, same[:n2]] = U * c, Bu * s[:n2]
-    V[:n1, plus], V[n1:, plus] = U[:, :n2] * -s[:n2], Bu * c[:n2]
-    return eigenvalues, V
+def _uniform(d: int, kappa: tuple, basis=None, rates=None) -> SpectralDecomposition:
+    """The uniform flow on the compositions alpha <= kappa of d, from its
+    inclusion maps."""
+    maps = _InclusionMaps(d, kappa)
+    weights = np.sqrt(np.broadcast_to(maps.binomials, maps.spectrum.shape))
+    return SpectralDecomposition(basis, maps.spectrum, None, rates, d=d, kappa=kappa, weights=weights, maps=maps)
 
 
 def _eigh(A: np.ndarray):
@@ -258,13 +385,15 @@ def _checked_spectrum(fill, mass: np.ndarray, eig):
 
 
 def spectral(basis: SubsetBasis, rates: TranspositionRates) -> SpectralDecomposition:
-    """Eigendecomposition of the generator of ``rates`` on ``basis``, with
-    the invariants of ``_checked_spectrum``: the generator is doubly
-    stochastic, so its equilibrium is the uniform vector. Uniform rates
-    use the closed form, others the eigensolver."""
+    """The flow of ``rates`` on ``basis``: uniform rates take the inclusion
+    maps, others the eigensolver on the dense generator, with the
+    invariants of ``_checked_spectrum``; the generator is doubly
+    stochastic, so its equilibrium is the uniform vector."""
     if rates.n != basis.n:
         raise ValueError(f"rates are on {rates.n} variables, basis on {basis.n}")
-    eig = _johnson(basis.n, basis.d) if rates.uniform else _eigh(build_generator(basis, rates))
+    if rates.uniform:
+        return _uniform(basis.d, (1,) * basis.n, basis, rates)
+    eig = _eigh(build_generator(basis, rates))
     w, vectors = _checked_spectrum(_fill(basis.d, (1,) * basis.n, rates.rates.items()), np.ones(basis.size), eig)
     return SpectralDecomposition(basis, w, vectors, rates)
 
@@ -284,26 +413,43 @@ def _decay_factors(s: float, lam: np.ndarray) -> np.ndarray:
     return np.exp(-s * (1.0 - lam))
 
 
+def _flow_at(f, dec: SpectralDecomposition):
+    """The function s -> flow(f, s, dec). f is split into its eigenspace
+    parts once; each time is then a weighted sum of them."""
+    _check_compatible(f, dec)
+    maps = dec._maps
+    if maps is None:
+        V, w = dec.vectors, dec.weights
+        x = V.T @ (f.coeffs / w)
+        return lambda s: f._like(w * (V @ (_decay_factors(s, dec.eigenvalues) * x)))
+    mass, parts = maps.parts(f.coeffs)
+    lam = maps.eigenvalues[np.append(0, maps.live)]  # label 0, the mass, keeps the guard on the bottom one
+    return lambda s: f._like(maps.binomials * (mass + parts @ _decay_factors(s, lam)[1:]))
+
+
 def flow(f, s: float, dec: SpectralDecomposition):
     """Apply the flow for time ``s`` (negative s runs it backward) to a
-    multiaffine or capped polynomial with the decomposition's (n, d, kappa)."""
-    _check_compatible(f, dec)
-    V, w = dec.vectors, dec.weights
-    x = V.T @ (f.coeffs / w)
-    return f._like(w * (V @ (_decay_factors(s, dec.eigenvalues) * x)))
+    multiaffine or capped polynomial with the decomposition's (n, d, kappa):
+    c' = W (P_0 g + sum_k exp(-s (1 - lambda_k)) P_k g), g = c / W."""
+    return _flow_at(f, dec)(s)
 
 
 def eigen_coords(f, dec: SpectralDecomposition):
-    """Coordinates of ``f`` split into the mass coordinate (the value at
-    the all-ones point, i.e. the coefficient on the normalized
-    equilibrium) and the coordinates of c / w on the decomposition's own
-    non-equilibrium eigenvectors. Inside a repeated eigenvalue those
-    eigenvectors are one choice among many, so only the per-eigenspace
-    norms of these coordinates are basis-independent."""
+    """The mass coordinate of ``f``, its value at the all-ones point, and
+    one row per eigenvalue below 1: the part in that eigenspace of the
+    orthonormal coordinates c / w. On a uniform decomposition the row of
+    Johnson label k is sqrt(W) P_k g, g = c / W; on a dense one it is
+    V_k V_k^T (c / w), V_k the eigenvectors of one eigenvalue (within
+    1e-9). The rows are orthogonal and sum to the centered coordinates, so
+    their norms are the per-eigenspace norms, which depend on no choice of
+    eigenbasis."""
     _check_compatible(f, dec)
     x0 = float(f.coeffs.sum())
-    x = dec.vectors[:, 1:].T @ (f.coeffs / dec.weights)
-    return x0, x
+    if dec._maps is not None:
+        return x0, (dec._maps.parts(f.coeffs)[1] * dec.weights[:, None]).T
+    x, V = f.coeffs / dec.weights, dec.vectors
+    groups = np.split(np.arange(1, dec.size), np.flatnonzero(np.diff(dec.eigenvalues[1:]) < -1e-9) + 1)
+    return x0, np.array([V[:, k] @ (V[:, k].T @ x) for k in groups if k.size]).reshape(-1, dec.size)
 
 
 def _centered(f, dec: SpectralDecomposition) -> np.ndarray:
@@ -323,5 +469,6 @@ def centered_norm(f, dec: SpectralDecomposition) -> float:
 
 
 def uniform_decomposition(n: int, d: int) -> SpectralDecomposition:
-    """Spectral decomposition for uniform rates on the (n, d) basis."""
+    """The uniform-rate flow on the (n, d) basis, from its inclusion maps;
+    built afresh on every call."""
     return spectral(subset_basis(n, d), uniform_rates(n))

@@ -4,8 +4,9 @@ symmetrization, a numerical check of the contractive-flow properties on
 given members, the per-subset loops that built the generator, the lift
 and the projection, kept as the oracles of their array forms, the
 lift -> dense flow -> project path, the oracle of the composition chain,
-the flow's fixed point on a subset basis, the unweighted and lifted
-Helmert frames, the oracles of the ball map's weighted frame, and the
+the flow's fixed point on a subset basis, the closed-form Johnson
+eigenbasis, the dense oracle of every uniform flow, the unweighted and
+lifted Helmert frames, the oracles of the ball map's weighted frame, and the
 ball coordinate of a member, which is ``escape_time``'s ball point away
 from the fixed point.
 """
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from lorentzflow.ballmap import CENTER_EPS, MembershipOracle, _decomposition, escape_time
-from lorentzflow.poly import HomPoly, MultiAffinePoly
+from lorentzflow.poly import HomPoly, MultiAffinePoly, exponent_table, subset_basis
 from lorentzflow.polarization import (
     PolarizationPlan,
     lifted_decomposition,
@@ -27,9 +28,15 @@ from lorentzflow.polarization import (
 from lorentzflow.sep import (
     PeriodicFlowError,
     SpectralDecomposition,
+    _binomials,
+    _checked_spectrum,
     _decay_factors,
+    _dense,
+    _eigh,
+    _fill,
     centered_norm,
     flow,
+    uniform_rates,
 )
 
 
@@ -38,6 +45,61 @@ def equilibrium(dec: SpectralDecomposition) -> MultiAffinePoly:
     coefficient vector."""
     size = dec.size
     return MultiAffinePoly(dec.basis, np.full(size, 1.0 / size))
+
+
+def _johnson(n: int, d: int):
+    """Descending eigenvalues and an orthonormal eigenbasis of the uniform
+    generator on the d-subsets of n >= 2, with no eigensolver: the Johnson
+    scheme J(n, d) gives label k the eigenvalue 1 - k (n + 1 - k) / C(n, 2)
+    (Delsarte 1973). In colex order the subsets without n - 1, J(n - 1, d),
+    precede those with it, J(n - 1, d - 1), and for n >= 2d the adjacency
+    is [[A', B^T], [B, A'']], B the inclusion of (d-1)- in d-subsets. A
+    column u of J(n - 1, d) of label k < d pairs with v = B u / sigma,
+    sigma^2 = (d - k)(n - d - k), and a 2 x 2 rotation turns [u; 0], [0; v]
+    into columns of labels k and k + 1; label d spans ker B and stays
+    [u; 0]. Complements reverse colex order, and J(n, 1) is Helmert's."""
+    sizes = [math.comb(n, k) for k in range(min(d, n - d) + 1)]  # label k has C(n, k) - C(n, k - 1) columns
+    labels = np.searchsorted(sizes, np.arange(sizes[-1]), side="right")
+    eigenvalues = 1.0 - labels * (n + 1 - labels) / math.comb(n, 2)
+    if 2 * d > n:
+        return eigenvalues, _johnson(n, n - d)[1][::-1]
+    if d < 2:  # the Helmert basis of the n singletons, or of the empty set alone
+        m = np.arange(math.comb(n, d))
+        V = np.triu(np.ones((m.size, m.size)), 1)
+        V[m, m], V[:, 0] = -m, 1.0
+        return eigenvalues, V / np.sqrt(np.where(m > 0, m * (m + 1.0), m.size))
+    w, U = _johnson(n - 1, d)
+    k = np.cumsum(np.diff(w, prepend=1.0) < 0)  # a column's label counts the eigenvalue drops up to it
+    n1, n2 = U.shape[0], math.comb(n - 1, d - 1)  # the n2 columns of label < d come first
+    below, here = (exponent_table(j, (1,) * (n - 1)).codes for j in (d - 1, d))
+    up = below[:, None] | (1 << np.arange(n - 1))
+    gather = np.searchsorted(here, up[up != below[:, None]]).reshape(n2, n - d)
+    Bu = sum(U[g, :n2] for g in gather.T)  # one gather per free slot of the (d-1)-subsets
+    Bu /= np.sqrt((d - k[:n2]) * (n - d - k[:n2]))
+    c, s = np.sqrt((n - d - k) / (n - 2.0 * k)), np.sqrt((d - k) / (n - 2.0 * k))
+    # label k starts at C(n, k - 1): column j of U goes to j + C(n - 1, k - 2), its partner to j + C(n - 1, k + 1)
+    shift = np.array([0, 0] + [math.comb(n - 1, j) for j in range(d + 2)])
+    same, plus = np.arange(n1) + shift[k], np.arange(n2) + shift[k[:n2] + 3]
+    V = np.zeros((n1 + n2, n1 + n2))
+    V[:n1, same], V[n1:, same[:n2]] = U * c, Bu * s[:n2]
+    V[:n1, plus], V[n1:, plus] = U[:, :n2] * -s[:n2], Bu * c[:n2]
+    return eigenvalues, V
+
+
+def dense_decomposition(d: int, kappa: tuple) -> SpectralDecomposition:
+    """The dense oracle of the uniform flow on the compositions
+    alpha <= kappa of d: the eigensolver's eigenbasis of the fill at rate
+    1 / C(sum(kappa), 2) on every lifted pair, checked by
+    ``_checked_spectrum``, as a decomposition whose flow reads it. At
+    kappa = 1^n it lives on the subset basis with uniform rates, else on
+    the chain, with weights sqrt(prod_i C(kappa_i, alpha_i))."""
+    n, q = len(kappa), 1.0 / math.comb(sum(kappa), 2)
+    fill = _fill(d, kappa, [(pair, q) for pair in itertools.combinations_with_replacement(range(n), 2)])
+    weights = np.sqrt(_binomials(d, kappa).prod(axis=0))
+    w, V = _checked_spectrum(fill, weights, _eigh(_dense(fill)))
+    if max(kappa) == 1:
+        return SpectralDecomposition(subset_basis(n, d), w, V, uniform_rates(n))
+    return SpectralDecomposition(None, w, V, None, d=d, kappa=kappa, weights=weights)
 
 
 def helmert_reference(c: np.ndarray) -> np.ndarray:

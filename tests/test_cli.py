@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from lorentzflow import cli
+from lorentzflow import cli, sep
 from lorentzflow import io as pio
 from lorentzflow.poly import (
     HomPoly,
@@ -164,6 +164,23 @@ class TestSpectrumCommand:
         assert out["eigenvalues"][0] == 1.0
         assert abs(out["eigenvalues"][1]) < 1e-12
         assert out["spectral_gap"] == pytest.approx(1.0)
+
+    def test_uniform_rates_print_the_closed_form(self, monkeypatch, capsys):
+        # nothing is built: no generator, no inclusion maps, no eigensolve
+        built = []
+        for owner, name in ((cli, "spectral"), (sep, "build_generator"), (sep, "_InclusionMaps"),
+                            (np.linalg, "eigh")):
+            monkeypatch.setattr(owner, name, lambda *args, _name=name, **kwargs: built.append(_name))
+        assert cli.main(["spectrum", "--n", "16", "--d", "8"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert built == []
+        assert out["basis_size"] == len(out["eigenvalues"]) == 12870
+        assert abs(out["lambda_min"] - 0.4) <= 1e-12
+        assert abs(out["spectral_gap"] - 16 / 120) <= 1e-12
+        values, counts = np.unique(np.round(out["eigenvalues"], 12), return_counts=True)
+        johnson = [1 - k * (17 - k) / 120 for k in range(9)]
+        assert np.allclose(values[::-1], johnson, rtol=0, atol=1e-12)
+        assert counts[::-1].tolist() == [math.comb(16, k) - (math.comb(16, k - 1) if k else 0) for k in range(9)]
 
     def test_periodic_case_errors(self, capsys):
         rc = cli.main(["spectrum", "--n", "2", "--d", "1"])
@@ -366,6 +383,15 @@ class TestSampleCommand:
             a = (out_a / f"sample_{k:03d}.json").read_bytes()
             b = (out_b / f"sample_{k:03d}.json").read_bytes()
             assert a == b
+
+    def test_creates_the_output_directory(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rc = cli.main(["sample", "--n", "3", "--d", "2", "--count", "2", "--seed", "5",
+                       "--output-dir", "out/nested"])
+        assert rc == 0
+        manifest = json.loads(capsys.readouterr().out)
+        written = sorted(p.name for p in (tmp_path / "out" / "nested").iterdir())
+        assert written == [s["file"] for s in manifest["samples"]] == ["sample_000.json", "sample_001.json"]
 
     def test_interior_flag_gives_strict_members(self, tmp_path, capsys):
         out_dir = tmp_path / "s"
