@@ -36,7 +36,7 @@ from .certify import (
 )
 from .poly import HomPoly
 from .polarization import PolarizationPlan, _on_chain
-from .sep import SpectralDecomposition, _centered, _flow_at, centered_norm
+from .sep import _MAX_EXPONENT, SpectralDecomposition, _centered, _flow_at, centered_norm
 
 # centered norms below this are treated as the flow's fixed point
 CENTER_EPS = 1e-10
@@ -141,7 +141,7 @@ def escape_time(
     at = _flow_at(f, dec)  # every trial time reuses f's eigenspace parts
     # keep the overflow guard of the backward flow out of reach
     gap_max = 1.0 - float(dec.eigenvalues[-1])
-    s_cap = min(s_max, 690.0 / gap_max)
+    s_cap = min(s_max, (_MAX_EXPONENT - 10.0) / gap_max)
     lo = 0.0
     hi = max(tol, 1e-3)
     while oracle.is_member(at(-hi)):

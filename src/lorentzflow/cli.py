@@ -1,5 +1,8 @@
 """Command-line surface.
 
+``certify``, ``flow`` and ``ballmap`` take the one certificate of the space
+asked for from ``_oracle`` and share its ``--directions/--seed/--tol`` options.
+
 Exit codes follow a pipeline-friendly contract: 0 means the computation
 ran (whatever it concluded), 2 means a certification subcommand concluded
 Rejected, and 1 means the computation itself failed (bad input, schema
@@ -19,15 +22,7 @@ import numpy as np
 from . import ballmap as bm
 from . import io as pio
 from . import samples as smp
-from .certify import (
-    DEFAULT_DIRECTIONS,
-    DEFAULT_SEED,
-    DEFAULT_TOL,
-    VerdictStatus,
-    certify_hom,
-    certify_multiaffine,
-    certify_stable,
-)
+from .certify import DEFAULT_DIRECTIONS, DEFAULT_SEED, DEFAULT_TOL, VerdictStatus, certify_stable
 from .poly import HomPoly, MultiAffinePoly, normalize_at_ones, subset_basis
 from .polarization import PolarizationPlan, polarize_up, polarized_flow, project_down
 from .sep import TranspositionRates, _johnson_spectrum, spectral, uniform_rates
@@ -56,18 +51,11 @@ def _emit(text: str, path) -> None:
         sys.stdout.write(text)
 
 
-def _parse_times(raw: str):
+def _parse_list(raw: str, kind, option: str) -> tuple:
     try:
-        return [float(t) for t in raw.split(",") if t.strip() != ""]
+        return tuple(kind(x) for x in raw.split(",") if x.strip() != "")
     except ValueError as exc:
-        raise ValueError(f"bad --times value {raw!r}: {exc}") from exc
-
-
-def _parse_kappa(raw: str):
-    try:
-        return tuple(int(k) for k in raw.split(",") if k.strip() != "")
-    except ValueError as exc:
-        raise ValueError(f"bad --kappa value {raw!r}: {exc}") from exc
+        raise ValueError(f"bad --{option} value {raw!r}: {exc}") from exc
 
 
 def _load_rates(args, n: int) -> TranspositionRates:
@@ -89,15 +77,21 @@ def _announce_seed(seed: int) -> None:
     print(f"seed: {seed}", file=sys.stderr)
 
 
+def _oracle(args, f, stable: bool) -> bm.MembershipOracle:
+    """The one certificate of the space asked for: the sampled stable
+    certificate, whose seed goes to stderr, or else the Lorentzian
+    certificate of f's type."""
+    if stable:
+        _announce_seed(args.seed)
+        return bm.stable_oracle(args.directions, args.seed, args.tol)
+    if isinstance(f, MultiAffinePoly):
+        return bm.multiaffine_lorentzian_oracle(args.tol)
+    return bm.capped_lorentzian_oracle(args.tol)
+
+
 def cmd_certify(args) -> int:
     f = normalize_at_ones(pio.load_poly(args.input))
-    if args.mode == "stable":
-        _announce_seed(args.seed)
-        verdict = certify_stable(f, args.directions, args.seed, args.tol)
-    elif isinstance(f, MultiAffinePoly):
-        verdict = certify_multiaffine(f, args.tol)
-    else:
-        verdict = certify_hom(f, args.tol)
+    verdict = _oracle(args, f, args.mode == "stable").certify(f)
     obj = pio.verdict_to_obj(verdict)
     obj["mode"] = args.mode
     _emit(pio.dumps(obj), args.output)
@@ -110,23 +104,18 @@ def cmd_flow(args) -> int:
         if args.rates_file:
             raise ValueError("--polarized flows use uniform rates on the lifted variables")
         f = f.to_hom()
-        oracle = (
-            bm.stable_oracle(args.directions, args.seed, args.tol)
-            if args.oracle == "stable"
-            else bm.capped_lorentzian_oracle(args.tol)
-        )
         # capped columns go in lexicographic order of the exponents
         order = np.lexsort(f.table.digits.T[::-1])
     else:
         if not isinstance(f, MultiAffinePoly):
             raise ValueError("input is not multiaffine; use --polarized for capped flows")
-        oracle = bm.multiaffine_lorentzian_oracle(args.tol)
         order = slice(None)
+    oracle = _oracle(args, f, args.oracle == "stable")
     # under uniform rates the trajectory runs on the composition chain of f's (d, kappa)
     dec = spectral(f.basis, _load_rates(args, f.n)) if args.rates_file else None
     labels = ["_".join(map(str, alpha)) for alpha in f.table.digits[order].tolist()]
     lines = ["time," + ",".join(f"c_{l}" for l in labels) + ",centered_norm,verdict"]
-    for sample in bm.trajectory(f, dec, _parse_times(args.times), oracle):
+    for sample in bm.trajectory(f, dec, _parse_list(args.times, float, "times"), oracle):
         row = [sample.time] + sample.poly.coeffs[order].tolist() + [sample.centered_norm]
         lines.append(",".join(map(_fmt, row)) + "," + sample.verdict.status.value)
     _emit("\n".join(lines) + "\n", args.output)
@@ -156,14 +145,14 @@ def cmd_polarize(args) -> int:
     f = pio.load_poly(args.input)
     if args.direction == "up":
         if args.kappa:
-            f = HomPoly(f.n, f.d, _parse_kappa(args.kappa), f.terms)
+            f = HomPoly(f.n, f.d, _parse_list(args.kappa, int, "kappa"), f.terms)
         out = polarize_up(f)
     else:
         if not isinstance(f, MultiAffinePoly):
             raise ValueError("projecting down expects a multiaffine input")
         if not args.kappa:
             raise ValueError("projecting down needs --kappa to define the blocks")
-        kappa = _parse_kappa(args.kappa)
+        kappa = _parse_list(args.kappa, int, "kappa")
         if sum(kappa) != f.n:
             raise ValueError(f"caps {kappa} sum to {sum(kappa)}, input has {f.n} variables")
         out = project_down(f, PolarizationPlan(len(kappa), f.d, kappa))
@@ -173,17 +162,11 @@ def cmd_polarize(args) -> int:
 
 def cmd_ballmap(args) -> int:
     f = normalize_at_ones(pio.load_poly(args.input))
-    if args.space == "multiaffine-lorentzian":
-        if not isinstance(f, MultiAffinePoly):
-            raise ValueError("this space expects a multiaffine input")
-        oracle = bm.multiaffine_lorentzian_oracle(args.tol)
-    else:
+    if args.space != "multiaffine-lorentzian":
         f = f.to_hom()
-        if args.space == "stable":
-            _announce_seed(args.seed)
-            oracle = bm.stable_oracle(args.directions, args.seed, args.tol)
-        else:
-            oracle = bm.capped_lorentzian_oracle(args.tol)
+    elif not isinstance(f, MultiAffinePoly):
+        raise ValueError("this space expects a multiaffine input")
+    oracle = _oracle(args, f, args.space == "stable")
     try:
         result = bm.escape_time(f, oracle, s_max=args.s_max, tol=args.bisect_tol)
     except bm.InfiniteEscape:
@@ -241,27 +224,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lorentzflow")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common_io(p):
-        p.add_argument("--input", required=True, help="polynomial JSON file")
-        p.add_argument("--output", default=None, help="write result here instead of stdout")
+    files = argparse.ArgumentParser(add_help=False)
+    files.add_argument("--input", required=True, help="polynomial JSON file")
+    files.add_argument("--output", default=None, help="write result here instead of stdout")
+    # the certificate options of every command that picks its oracle with _oracle
+    cert = argparse.ArgumentParser(add_help=False)
+    cert.add_argument("--directions", type=int, default=DEFAULT_DIRECTIONS)
+    cert.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    cert.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
-    p = sub.add_parser("certify", help="membership certificates")
-    common_io(p)
+    p = sub.add_parser("certify", parents=[files, cert], help="membership certificates")
     p.add_argument("--mode", choices=["lorentzian", "stable"], default="lorentzian")
-    p.add_argument("--directions", type=int, default=DEFAULT_DIRECTIONS)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(fn=cmd_certify)
 
-    p = sub.add_parser("flow", help="flow trajectories as CSV")
-    common_io(p)
+    p = sub.add_parser("flow", parents=[files, cert], help="flow trajectories as CSV")
     p.add_argument("--times", required=True, help="comma-separated list of times")
     p.add_argument("--rates-file", default=None, help="JSON file with explicit pair rates")
     p.add_argument("--polarized", action="store_true", help="flow a capped polynomial on its composition chain")
     p.add_argument("--oracle", choices=["lorentzian", "stable"], default="lorentzian")
-    p.add_argument("--directions", type=int, default=DEFAULT_DIRECTIONS)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(fn=cmd_flow)
 
     p = sub.add_parser("spectrum", help="generator eigenvalues and spectral gap")
@@ -271,28 +251,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None)
     p.set_defaults(fn=cmd_spectrum)
 
-    p = sub.add_parser("polarize", help="lift to multiaffine or project back")
-    common_io(p)
+    p = sub.add_parser("polarize", parents=[files], help="lift to multiaffine or project back")
     p.add_argument("--direction", choices=["up", "down"], required=True)
     p.add_argument("--kappa", default=None, help="comma-separated per-variable caps")
     p.set_defaults(fn=cmd_polarize)
 
-    p = sub.add_parser("ballmap", help="escape time and ball coordinates")
-    common_io(p)
+    p = sub.add_parser("ballmap", parents=[files, cert], help="escape time and ball coordinates")
     p.add_argument(
         "--space",
         choices=["multiaffine-lorentzian", "capped-lorentzian", "stable"],
         default="multiaffine-lorentzian",
     )
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--s-max", type=float, default=50.0)
     p.add_argument("--bisect-tol", type=float, default=1e-8)
-    p.add_argument("--directions", type=int, default=DEFAULT_DIRECTIONS)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(fn=cmd_ballmap)
 
-    p = sub.add_parser("strata", help="support stratum report")
-    common_io(p)
+    p = sub.add_parser("strata", parents=[files], help="support stratum report")
     p.add_argument("--tol", type=float, default=1e-12)
     p.set_defaults(fn=cmd_strata)
 

@@ -356,7 +356,8 @@ def _checked_spectrum(fill, mass: np.ndarray, eig):
     ones when the matrix is doubly stochastic): a simple top eigenvalue at
     1, everything else strictly above -1, reconstruction (the fill is
     subtracted from V diag(w) V^T in place), orthonormality, and
-    non-equilibrium modes that carry no mass. The top eigenvector is
+    non-equilibrium modes that carry no mass, to 1e-9 of the mass's RMS
+    entry (a chain's mass is sqrt(W)). The top eigenvector is
     mass / |mass| up to sign and round-off, and is pinned to it exactly."""
     (dst, src, moves, stay), (w, vectors) = fill, eig
     size = stay.size
@@ -379,7 +380,7 @@ def _checked_spectrum(fill, mass: np.ndarray, eig):
     gram[np.diag_indices(size)] -= 1.0
     if np.linalg.norm(gram) > 1e-10 * max(1.0, size):
         raise RuntimeError("eigenvectors failed orthonormality")
-    if size > 1 and np.max(np.abs(mass @ vectors[:, 1:])) > 1e-9:
+    if size > 1 and np.max(np.abs(mass @ vectors[:, 1:])) > 1e-9 * max(1.0, np.linalg.norm(mass) / math.sqrt(size)):
         raise RuntimeError("non-equilibrium mode with nonzero mass")
     return w, vectors
 

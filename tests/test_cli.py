@@ -8,8 +8,9 @@ import math
 import numpy as np
 import pytest
 
-from lorentzflow import cli, sep
+from lorentzflow import ballmap, cli, sep
 from lorentzflow import io as pio
+from lorentzflow.certify import DEFAULT_DIRECTIONS, DEFAULT_SEED, DEFAULT_TOL
 from lorentzflow.poly import (
     HomPoly,
     MultiAffinePoly,
@@ -153,6 +154,84 @@ class TestFlowCommand:
         first = capsys.readouterr().out
         cli.main(["flow", "--input", str(e23_file), "--times", "0,0.5,1"])
         assert capsys.readouterr().out == first
+
+
+class TestOneCertificateChoice:
+    """certify, flow and ballmap map the space asked for to its one
+    certificate: every stable choice runs the stable certificate and prints
+    its seed on stderr once, every Lorentzian choice prints nothing there."""
+
+    @pytest.fixture()
+    def stable_calls(self, monkeypatch):
+        calls, certify_stable = [], ballmap.certify_stable
+
+        def counted(*args):
+            calls.append(args)
+            return certify_stable(*args)
+
+        monkeypatch.setattr(ballmap, "certify_stable", counted)
+        return calls
+
+    @pytest.fixture()
+    def capped_file(self, tmp_path):
+        path = tmp_path / "capped.json"
+        pio.save_poly(HomPoly(2, 2, (2, 2), {(2, 0): 0.25, (1, 1): 0.5, (0, 2): 0.25}), path)
+        return path
+
+    def _argv(self, command, path):
+        return {
+            "certify": ["certify", "--input", str(path)],
+            "flow": ["flow", "--input", str(path), "--times", "0,0.5"],
+            "flow-polarized": ["flow", "--input", str(path), "--times", "0,0.5", "--polarized"],
+            "ballmap": ["ballmap", "--input", str(path)],
+        }[command]
+
+    @pytest.mark.parametrize(
+        "command, stable",
+        [
+            ("certify", ["--mode", "stable"]),
+            ("flow", ["--oracle", "stable"]),
+            ("flow-polarized", ["--oracle", "stable"]),
+            ("ballmap", ["--space", "stable"]),
+        ],
+    )
+    def test_stable_choices_run_the_stable_certificate(
+        self, command, stable, singleton31_file, capped_file, stable_calls, capsys
+    ):
+        path = capped_file if command == "flow-polarized" else singleton31_file
+        rc = cli.main(self._argv(command, path) + stable + ["--seed", "7"])
+        assert rc == 0
+        assert capsys.readouterr().err == "seed: 7\n"
+        assert len(stable_calls) > 0
+        assert all(call[2] == 7 for call in stable_calls)
+
+    @pytest.mark.parametrize(
+        "command, lorentzian",
+        [
+            ("certify", []),
+            ("flow", ["--oracle", "lorentzian"]),
+            ("flow-polarized", []),
+            ("ballmap", []),
+            ("ballmap", ["--space", "capped-lorentzian"]),
+        ],
+    )
+    def test_lorentzian_choices_print_nothing_on_stderr(
+        self, command, lorentzian, singleton31_file, capped_file, stable_calls, capsys
+    ):
+        path = capped_file if command == "flow-polarized" else singleton31_file
+        rc = cli.main(self._argv(command, path) + lorentzian)
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        assert stable_calls == []
+
+    @pytest.mark.parametrize("command", ["certify", "flow", "ballmap"])
+    def test_the_certificate_options_parse_alike(self, command):
+        parser = cli.build_parser()
+        argv = self._argv(command, "p.json")
+        args = parser.parse_args(argv)
+        assert (args.directions, args.seed, args.tol) == (DEFAULT_DIRECTIONS, DEFAULT_SEED, DEFAULT_TOL)
+        args = parser.parse_args(argv + ["--directions", "17", "--seed", "5", "--tol", "1e-7"])
+        assert (args.directions, args.seed, args.tol) == (17, 5, 1e-7)
 
 
 class TestSpectrumCommand:

@@ -14,6 +14,8 @@ from lorentzflow.sep import (
     PeriodicFlowError,
     TranspositionRates,
     _checked_spectrum,
+    _dense,
+    _eigh,
     _fill,
     build_generator,
     centered_norm,
@@ -236,6 +238,42 @@ class TestJohnsonClosedForm:
         swapped[[1, -1]] = swapped[[-1, 1]]
         with pytest.raises(RuntimeError):
             _checked_spectrum(fill, mass, (swapped, V.copy()))
+
+
+class TestChainMassCheck:
+    """The massless-mode check of the dense path on the chain at
+    kappa = (16,)*4, d = 16: 969 compositions whose mass sqrt(W) has an RMS
+    entry near 7e5, so the check is relative to that entry."""
+
+    D, KAPPA = 16, (16,) * 4
+
+    @pytest.fixture(scope="class")
+    def dense(self):
+        q = 1.0 / math.comb(sum(self.KAPPA), 2)
+        pairs = itertools.combinations_with_replacement(range(len(self.KAPPA)), 2)
+        fill = _fill(self.D, self.KAPPA, [(pair, q) for pair in pairs])
+        mass = polarization.composition_chain(self.D, self.KAPPA).weights
+        return fill, mass, _eigh(_dense(fill))
+
+    def test_the_basis_builds(self, dense):
+        dec = polarization.composition_chain(self.D, self.KAPPA)
+        V = dec.vectors
+        assert V.shape == (969, 969)
+        assert np.array_equal(V[:, 0], dec.weights / np.linalg.norm(dec.weights))
+        fill, mass, (w, V) = dense
+        _checked_spectrum(fill, mass, (w.copy(), V.copy()))
+
+    def test_mass_in_a_mode_still_raises(self, dense):
+        fill, mass, (w, V) = dense
+        bent = V.copy()
+        bent[:, -1] += 1e-6 * mass
+        with pytest.raises(RuntimeError):
+            _checked_spectrum(fill, mass, (w.copy(), bent))
+        # a move too small for the reconstruction and orthonormality checks
+        bent = V.copy()
+        bent[:, -1] += 1e-9 * mass / np.linalg.norm(mass)
+        with pytest.raises(RuntimeError, match="nonzero mass"):
+            _checked_spectrum(fill, mass, (w.copy(), bent))
 
 
 class TestPrimitivity:
