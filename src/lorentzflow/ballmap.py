@@ -129,10 +129,13 @@ def escape_time(
     """Locate the backward-flow exit from the oracle's space.
 
     Doubles a backward-time bracket until membership fails, then bisects
-    to width ``tol``. The reported time inherits the oracle's tolerance on
+    to width ``tol``, which must be positive, or until its ends are
+    adjacent floats. The reported time inherits the oracle's tolerance on
     top of the bracket width. Raises InfiniteEscape at the fixed point and
     EscapeNotBracketed when no exit occurs before ``s_max``.
     """
+    if not tol > 0.0:
+        raise ValueError(f"bisection width tol must be positive, got {tol}")
     f, dec = _decomposition(f, dec, plan)
     if centered_norm(f, dec) < CENTER_EPS:
         raise InfiniteEscape("input is the flow's fixed point")
@@ -151,6 +154,8 @@ def escape_time(
             raise EscapeNotBracketed(f"still a member after backward time {lo}")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # tol is below the spacing of floats here
+            break
         if oracle.is_member(at(-mid)):
             lo = mid
         else:

@@ -15,13 +15,13 @@ Hessians of the (d-2)-fold derivatives of the polarization lift are
 constant on the blocks: each one's spectrum is that of a block-quotient
 matrix of size at most n plus known repeated eigenvalues, and at
 kappa = 1^n the quotient is the multiaffine Hessian itself. One cached
-table per (n, d, kappa) says where every quotient matrix sits in the
-coefficient vector. The engine walks it in blocks, eigensolves each
-matrix size in a block with one stacked ``eigh``, and stops at the first
-block that holds a failure. The verdict is the lift's, and no lift is
-built. The exchange check, ``strata.exchange_violation``, runs only where
-it can fail: a support with every coefficient above tol is the uniform
-matroid, or the full capped box, which is M-convex.
+table per (d, kappa) says where every quotient matrix sits in the
+coefficient vector, laid out and lifted by ``poly``. The engine walks
+it in blocks, eigensolves each matrix size in a block with one stacked
+``eigh`` and stops at the first block that holds a failure: the lift's
+verdict, with no lift built. ``strata.exchange_violation`` runs only
+where it can fail: a support with every coefficient above tol is the
+uniform matroid, or the full capped box, which is M-convex.
 
 The stable certificate restricts f along a block of directions at once
 (``poly.restrict_lines``), runs the Newton power sums over all rows and
@@ -37,15 +37,13 @@ lexicographic order of their exponent (for multiaffine inputs, subsets in
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .poly import HomPoly, MultiAffinePoly, exponent_code, exponent_table, restrict_lines
-from .polarization import _lift_values
+from .poly import HomPoly, MultiAffinePoly, _lift_values, exponent_code, exponent_table, restrict_lines
 from .strata import exchange_violation
 
 DEFAULT_TOL = 1e-9
@@ -114,13 +112,11 @@ def _signatures(w, tol: float):
 
 
 class _Table(NamedTuple):
-    """Layout of the Lorentzian certificate for one (n, d, kappa), built by
+    """Layout of the Lorentzian certificate for one (d, kappa), built by
     ``_table``: N degree-d exponents, one row per beta."""
 
-    radix: np.ndarray  # (n,) place values of the exponent code
-    base: np.ndarray  # (n,) digit bases, min(kappa_i, d) + 1
-    codes: np.ndarray  # (N,) codes of the degree-d exponents, ascending
-    betas: np.ndarray  # codes of the betas, descending lexicographic
+    digits: np.ndarray  # (N, n) the exponents: ``exponent_table(d, kappa).digits``
+    betas: np.ndarray  # the betas as exponent rows, descending lexicographic
     width: int  # largest size of Q_beta
     upper: tuple  # (iu, ju): the stored entries of a width x width matrix
     index: np.ndarray  # where each stored entry sits in g
@@ -129,13 +125,8 @@ class _Table(NamedTuple):
     rest: np.ndarray | None  # where each lifted spectrum's within-block part sits in g
 
 
-def _digits(table: _Table, codes) -> np.ndarray:
-    """Exponent vectors (..., n) of exponent codes."""
-    return (np.asarray(codes, dtype=np.int64)[..., None] // table.radix) % table.base
-
-
 @lru_cache(maxsize=64)
-def _table(n: int, d: int, kappa: tuple) -> _Table:
+def _table(d: int, kappa: tuple) -> _Table:
     """Where the block-quotient Hessians of a capped polynomial sit in its
     coefficient vector g, built with no Python loop over exponents.
 
@@ -166,9 +157,9 @@ def _table(n: int, d: int, kappa: tuple) -> _Table:
     spectrum, and its first k entries, where eig(Q_beta) goes, read the
     trailing zero.
     """
-    alphas = exponent_table(d, kappa).codes
+    layout = exponent_table(d, kappa)
+    alphas = layout.codes
     radix, base, betas = exponent_code(kappa, d, d - 2)
-    top = math.prod(base.tolist())
     B = (betas[:, None] // radix) % base
     m = np.array(kappa, dtype=np.int64) - B
     size = (m > 0).sum(axis=1)
@@ -177,7 +168,7 @@ def _table(n: int, d: int, kappa: tuple) -> _Table:
     # built in code order of the betas, one row per stored entry, so that
     # the targets come mostly ascending, which searchsorted walks fastest;
     # each beta's free variables ascending, behind its capped ones
-    var = np.argsort(m > 0, axis=1, kind="stable")[:, n - width :]
+    var = np.argsort(m > 0, axis=1, kind="stable")[:, len(kappa) - width :]
     mv, rv = np.take_along_axis(m, var, axis=1).T, radix[var].T
     iu, ju = np.triu_indices(width, 0 if diagonal else 1)
     ok = (mv[iu] > 0) & (mv[ju] > 0)
@@ -196,10 +187,9 @@ def _table(n: int, d: int, kappa: tuple) -> _Table:
         rest = np.full((betas.size, length), alphas.size, dtype=dtype)
         rest[np.arange(length) >= size[:, None]] = np.repeat(twice.ravel(), np.maximum(m - 1, 0).ravel())
     # descending lexicographic order: the first variable is the most significant
-    order = np.argsort(B @ (top // (radix * base)))[::-1]
-    code = np.min_scalar_type(top - 1)
+    order = np.lexsort(B.T[::-1])[::-1]
     table = _Table(
-        radix, base, alphas.astype(code), betas[order].astype(code), width,
+        layout.digits, B[order].astype(layout.digits.dtype), width,
         (iu, ju), index.T[order],
         None if np.all(size == width) else size[order].astype(np.uint8),
         None if scale is None else scale.T[order],
@@ -224,12 +214,12 @@ def _lorentzian(g: np.ndarray, table: _Table, tol: float, keys, name) -> Verdict
     box, which is M-convex. Only a support with some coefficient within
     tol goes through ``exchange_violation``.
     """
-    coeffs = g[: table.codes.size]
+    coeffs = g[: len(table.digits)]
     worst = int(np.argmin(coeffs))
     if coeffs[worst] < -tol:
         return Verdict(
             VerdictStatus.REJECTED,
-            {"kind": "negative_coefficient", keys[0]: name(_digits(table, table.codes[worst]).tolist()),
+            {"kind": "negative_coefficient", keys[0]: name(table.digits[worst].tolist()),
              "value": float(coeffs[worst])},
             tol,
         )
@@ -260,7 +250,7 @@ def _lorentzian(g: np.ndarray, table: _Table, tol: float, keys, name) -> Verdict
             r = int(np.argmax(fail))
             return Verdict(
                 VerdictStatus.REJECTED,
-                {"kind": "hessian_signature", keys[0]: name(_digits(table, table.betas[lo + r]).tolist()),
+                {"kind": "hessian_signature", keys[0]: name(table.betas[lo + r].tolist()),
                  "eigenvalues": w[r, ::-1].tolist()},
                 tol,
             )
@@ -271,7 +261,7 @@ def _lorentzian(g: np.ndarray, table: _Table, tol: float, keys, name) -> Verdict
         return Verdict(status, None, tol)
     if not live.any():
         return Verdict(VerdictStatus.REJECTED, {"kind": "empty_support"}, tol)
-    violation = exchange_violation(_digits(table, table.codes[live]))
+    violation = exchange_violation(table.digits[live])
     if violation is None:
         return Verdict(VerdictStatus.BOUNDARY_WITHIN_TOL, None, tol)
     a, b, i = violation
@@ -300,7 +290,7 @@ def certify_multiaffine(f: MultiAffinePoly, tol: float = DEFAULT_TOL) -> Verdict
     ``certify_hom`` at kappa = 1^n, with witnesses that name subsets.
     """
     _check_normalized(f)
-    table = _table(f.n, f.d, (1,) * f.n)
+    table = _table(f.d, (1,) * f.n)
     return _lorentzian(f.coeffs, table, tol, ("subset", "basis_one", "basis_two"),
                        lambda alpha: [i for i, a in enumerate(alpha) if a])
 
@@ -328,7 +318,7 @@ def certify_hom(f: HomPoly, tol: float = DEFAULT_TOL) -> Verdict:
     """
     _check_normalized(f)
     g = np.append(_lift_values(f), 0.0)
-    return _lorentzian(g, _table(f.n, f.d, f.kappa), tol, ("exponent", "exponent_one", "exponent_two"), list)
+    return _lorentzian(g, _table(f.d, f.kappa), tol, ("exponent", "exponent_one", "exponent_two"), list)
 
 
 # root classes: distinct real roots, real roots with ties, complex roots

@@ -199,6 +199,8 @@ def cmd_strata(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if not args.interior >= 0.0:
+        raise ValueError(f"--interior must be a nonnegative flow depth, got {args.interior}")
     _announce_seed(args.seed)
     os.makedirs(args.output_dir, exist_ok=True)
     rng = np.random.default_rng(args.seed)

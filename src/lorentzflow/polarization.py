@@ -25,8 +25,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .poly import HomPoly, MultiAffinePoly, MAX_VARS, exponent_table, subset_basis
-from .sep import SpectralDecomposition, _binomials, _uniform, flow, uniform_decomposition
+from .poly import HomPoly, MultiAffinePoly, MAX_VARS, _binomials, _lift_values, exponent_table, subset_basis
+from .sep import SpectralDecomposition, _uniform, flow, uniform_decomposition
 
 
 class PolarizationPlan:
@@ -61,20 +61,6 @@ class PolarizationPlan:
 
     def __repr__(self):
         return f"PolarizationPlan(n={self.n}, d={self.d}, kappa={self.kappa})"
-
-
-def _lift_values(f) -> np.ndarray:
-    """The coefficient g(alpha) = c_alpha / prod_i C(kappa_i, alpha_i)
-    that the lift gives every lifted subset of composition alpha, in code
-    order, divided one variable at a time so that every caller gets the
-    same bits. At kappa = 1^n every binomial is 1 and g is f's own
-    read-only vector."""
-    if max(f.kappa) == 1:
-        return f.coeffs
-    g = f.coeffs.copy()
-    for row in _binomials(f.d, f.kappa):
-        g /= row
-    return g
 
 
 @lru_cache(maxsize=32)

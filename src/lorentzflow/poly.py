@@ -152,6 +152,31 @@ def exponent_table(d: int, kappa: tuple) -> ExponentTable:
     return ExponentTable(*map(_freeze, (radix, base, codes, digits, factors)))
 
 
+@lru_cache(maxsize=32)
+def _binomials(d: int, kappa: tuple) -> np.ndarray:
+    """C(kappa_i, alpha_i), shape (n, N), over the exponents of
+    ``exponent_table(d, kappa)``: the number of ways block i picks alpha_i
+    of its variables. Read-only."""
+    comb = np.array([[math.comb(k, a) for a in range(d + 1)] for k in kappa], dtype=float)
+    binom = np.take_along_axis(comb, exponent_table(d, kappa).digits.T, axis=1)
+    binom.flags.writeable = False
+    return binom
+
+
+def _lift_values(f) -> np.ndarray:
+    """The coefficient g(alpha) = c_alpha / prod_i C(kappa_i, alpha_i)
+    that the lift gives every lifted subset of composition alpha, in code
+    order, divided one variable at a time so that every caller gets the
+    same bits. At kappa = 1^n every binomial is 1 and g is f's own
+    read-only vector."""
+    if max(f.kappa) == 1:
+        return f.coeffs
+    g = f.coeffs.copy()
+    for row in _binomials(f.d, f.kappa):
+        g /= row
+    return g
+
+
 def _checked(coeffs, size: int) -> np.ndarray:
     c = np.array(coeffs, dtype=float)
     if c.shape != (size,):

@@ -4,7 +4,9 @@ Products of linear forms with nonnegative coefficients are real stable,
 hence Lorentzian; in the multiaffine world the same holds for products of
 forms over disjoint variable groups. Everything here is built from those
 two facts, with a certification filter where a construction is only
-usually a member (coefficient surgery).
+usually a member (coefficient surgery). Both products multiply out on
+the exponent codes of ``poly.exponent_table``, so a shape whose codes
+pass int64 is refused before any form is drawn.
 """
 
 from __future__ import annotations
@@ -16,25 +18,30 @@ from .poly import HomPoly, MultiAffinePoly, SubsetBasis, normalize_at_ones
 from .sep import SpectralDecomposition, flow
 
 
+def _product(table, forms) -> np.ndarray:
+    """Coefficients in ``table`` order of the product of linear forms,
+    each a pair (variables, weights). Every term of the running product
+    times every term of the next form reaches a code; each code sums the
+    terms that reach it from 0.0 in that order, and the codes are kept
+    in the order they are first reached."""
+    codes, values = np.zeros(1, dtype=np.int64), np.ones(1)
+    for variables, weights in forms:
+        reached = (codes[:, None] + table.radix[variables]).ravel()
+        codes, first, where = np.unique(reached, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        codes, values = codes[order], np.bincount(where, weights=(values[:, None] * weights).ravel())[order]
+    coeffs = np.zeros(table.codes.size)
+    coeffs[np.searchsorted(table.codes, codes)] = values
+    return coeffs
+
+
 def random_form_product(n: int, d: int, rng) -> HomPoly:
     """Product of d linear forms with positive entries, normalized at the
     all-ones point. Real stable with nonnegative coefficients by
-    construction."""
-    if d == 0:
-        return HomPoly(n, 0, (1,) * n, {(0,) * n: 1.0})
+    construction; every x_i^d appears, so the caps are max(d, 1)."""
+    zero = HomPoly(n, d, (max(d, 1),) * n, {})  # checks n and d, and refuses codes past int64
     forms = np.abs(rng.standard_normal((d, n))) + 0.05
-    acc = {(0,) * n: 1.0}
-    for k in range(d):
-        nxt: dict[tuple, float] = {}
-        for alpha, c in acc.items():
-            for i in range(n):
-                beta = list(alpha)
-                beta[i] += 1
-                beta = tuple(beta)
-                nxt[beta] = nxt.get(beta, 0.0) + c * forms[k, i]
-        acc = nxt
-    kappa = tuple(max(1, max(alpha[i] for alpha in acc)) for i in range(n))
-    return normalize_at_ones(HomPoly(n, d, kappa, acc))
+    return normalize_at_ones(zero._like(_product(zero.table, [(slice(None), row) for row in forms])))
 
 
 def random_disjoint_form_product(basis: SubsetBasis, rng) -> MultiAffinePoly:
@@ -48,17 +55,7 @@ def random_disjoint_form_product(basis: SubsetBasis, rng) -> MultiAffinePoly:
     cuts = np.sort(rng.choice(np.arange(1, n), size=d - 1, replace=False)) if d > 1 else np.array([], dtype=int)
     groups = np.split(perm, cuts)
     weights = np.abs(rng.standard_normal(n)) + 0.05
-    coeffs = np.zeros(basis.size)
-    stack = [((), 1.0)]
-    for g in groups:
-        nxt = []
-        for chosen, w in stack:
-            for i in g:
-                nxt.append((chosen + (int(i),), w * weights[i]))
-        stack = nxt
-    for chosen, w in stack:
-        coeffs[basis.rank(chosen)] += w
-    return normalize_at_ones(MultiAffinePoly(basis, coeffs))
+    return normalize_at_ones(MultiAffinePoly(basis, _product(basis.table, [(g, weights[g]) for g in groups])))
 
 
 def random_interior_member(
@@ -74,4 +71,3 @@ def random_interior_member(
     if certify_multiaffine(cand, tol).status is not VerdictStatus.STRICT_INTERIOR:
         raise RuntimeError(f"flowed member is not strict after depth {depth}")
     return cand
-

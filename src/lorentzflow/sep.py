@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
 
 import numpy as np
 
-from .poly import SubsetBasis, _freeze, exponent_code, exponent_table, subset_basis
+from .poly import SubsetBasis, _binomials, _freeze, exponent_code, exponent_table, subset_basis
 
 # exp overflow guard for backward flow; doubles top out near exp(709)
 _MAX_EXPONENT = 700.0
@@ -85,17 +84,6 @@ def uniform_rates(n: int) -> TranspositionRates:
     """Equal rate on every pair of variables."""
     pairs = list(itertools.combinations(range(n), 2))
     return TranspositionRates(n, {p: 1.0 / len(pairs) for p in pairs})
-
-
-@lru_cache(maxsize=32)
-def _binomials(d: int, kappa: tuple) -> np.ndarray:
-    """C(kappa_i, alpha_i), shape (n, N), over the exponents of
-    ``exponent_table(d, kappa)``: the number of ways block i picks alpha_i
-    of its variables. Read-only."""
-    comb = np.array([[math.comb(k, a) for a in range(d + 1)] for k in kappa], dtype=float)
-    binom = np.take_along_axis(comb, exponent_table(d, kappa).digits.T, axis=1)
-    binom.flags.writeable = False
-    return binom
 
 
 def _fill(d: int, kappa: tuple, rates):

@@ -1,6 +1,11 @@
 """Tests for the contractive-flow checks and escape-time ball coordinates."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +32,47 @@ def simplex31():
     return uniform_decomposition(3, 1), subset_basis(3, 1), multiaffine_lorentzian_oracle()
 
 
+# escape_time at each bisection width, counting oracle calls; a width
+# that the bisection could never reach once looped forever
+BISECT = """
+import json, sys
+import numpy as np
+from lorentzflow.ballmap import MembershipOracle, escape_time, multiaffine_lorentzian_oracle
+from lorentzflow.poly import subset_basis
+from lorentzflow.samples import random_disjoint_form_product
+from lorentzflow.sep import flow, uniform_decomposition
+
+f = flow(random_disjoint_form_product(subset_basis(5, 2), np.random.default_rng(1)), 0.3,
+         uniform_decomposition(5, 2))
+lorentzian = multiaffine_lorentzian_oracle()
+out = []
+for tol in map(float, sys.argv[1:]):
+    calls = []
+    oracle = MembershipOracle("counted", lambda g: calls.append(1) or lorentzian.certify(g), lorentzian.tol)
+    try:
+        out.append([escape_time(f, oracle, tol=tol).sigma, len(calls)])
+    except ValueError as exc:
+        out.append([str(exc), len(calls)])
+print(json.dumps(out))
+"""
+
+
 class TestEscapeTime:
+    def test_bisection_width_is_positive_and_always_ends(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", BISECT, "0", "-1e-3", "nan", "1e-12", "1e-20", "1e-300"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        out = json.loads(proc.stdout)
+        refused, ended = out[:3], out[3:]
+        for message, calls in refused:
+            assert "must be positive" in message and calls == 0
+        # below the spacing of floats near sigma the bracket stops at adjacent floats
+        sigma = ended[0][0]
+        assert sigma == pytest.approx(0.3000000159, abs=1e-9)
+        for got, _ in ended[1:]:
+            assert abs(got - sigma) <= 1e-12
+
     def test_simplex_example(self, simplex31):
         dec, basis, oracle = simplex31
         f = MultiAffinePoly(basis, [0.5, 0.25, 0.25])

@@ -96,11 +96,11 @@ def _g(f, alpha):
 def _native_rows(f):
     """Per beta in the certificate's order: the ascending spectrum rebuilt
     from the block-quotient matrix and the within-block eigenvalues."""
-    table = C._table(f.n, f.d, f.kappa)
-    g = np.array([_g(f, tuple(a)) for a in C._digits(table, table.codes).tolist()] + [0.0])
+    table = C._table(f.d, f.kappa)
+    g = np.array([_g(f, tuple(a)) for a in table.digits.tolist()] + [0.0])
     iu, ju = table.upper
     rows = {}
-    for r, beta in enumerate(C._digits(table, table.betas).tolist()):
+    for r, beta in enumerate(table.betas.tolist()):
         k = table.width if table.size is None else int(table.size[r])
         Q = np.zeros((table.width, table.width))
         Q[iu, ju] = Q[ju, iu] = g[table.index[r]] * (1.0 if table.scale is None else table.scale[r])
@@ -182,7 +182,6 @@ class TestOneEngine:
         # 5^16 exponent codes at kappa_i = 4, d = 4 need 64 bits
         kappa = (4,) * 16
         f = HomPoly(16, 4, kappa, _uniform_point(kappa, 4))
-        assert C._table(16, 4, kappa).codes.dtype == np.uint64
         assert certify_hom(f).status is VerdictStatus.STRICT_INTERIOR
         alpha = (0,) * 13 + (1, 0, 3)
         g = _normalized(kappa, 4, {**f.terms, alpha: -1e-3})
@@ -191,7 +190,7 @@ class TestOneEngine:
     def test_codes_past_int64_are_refused(self):
         # 17^16 exponent codes at kappa_i = d = 16
         with pytest.raises(ValueError, match="int64"):
-            C._table(16, 16, (16,) * 16)
+            C._table(16, (16,) * 16)
 
 
 class TestMConvexAgainstLiftedExchange:

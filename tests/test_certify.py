@@ -2,8 +2,10 @@
 independent oracles: closed-form discriminants, explicit eigenvalues,
 derivative identities, and a sampled line-restriction interior check."""
 
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -401,3 +403,11 @@ class TestDerivativeIdentity:
             for _ in range(20):
                 y = rng.standard_normal(n)
                 assert real_rooted(e.restrict_line(y)).kind is RootClass.ALL_REAL_DISTINCT
+
+
+def test_certify_imports_no_flow_module():
+    # the certificate reads the exponent layout and the lift's values from
+    # poly; the flow modules import it, never the other way round
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "src" / "lorentzflow" / "certify.py").read_text())
+    relative = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level}
+    assert relative == {"poly", "strata"}

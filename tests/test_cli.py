@@ -4,6 +4,10 @@ formats, determinism, and round-trip stability of the JSON schema."""
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +22,7 @@ from lorentzflow.poly import (
     normalize_at_ones,
     subset_basis,
 )
-from lorentzflow.samples import random_disjoint_form_product
+from lorentzflow.samples import random_disjoint_form_product, random_form_product
 
 
 @pytest.fixture()
@@ -397,6 +401,18 @@ class TestBallmapCommand:
         assert rc == 0
         assert out["infinite_escape"] is True
 
+    def test_bisect_tol_must_be_positive(self, tmp_path):
+        # a nonpositive width once bisected forever: run where a hang fails
+        path = tmp_path / "s52.json"
+        pio.save_poly(sep.flow(random_disjoint_form_product(subset_basis(5, 2), np.random.default_rng(1)), 0.3,
+                               sep.uniform_decomposition(5, 2)), path)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        for tol in ("0", "-1e-8", "nan"):
+            proc = subprocess.run([sys.executable, "-m", "lorentzflow", "ballmap", "--input", str(path),
+                                   f"--bisect-tol={tol}"], env=env, capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 1 and proc.stdout == "", (tol, proc.stderr)
+            assert "tol must be positive" in proc.stderr
+
 
 class TestPeriodicCappedInput:
     """kappa = (1, 1), d = 1 is the periodic swap on the composition chain:
@@ -482,6 +498,22 @@ class TestSampleCommand:
         assert rc == 0
         manifest = json.loads(capsys.readouterr().out)
         assert all(s["status"] == "strict_interior" for s in manifest["samples"])
+
+    def test_negative_interior_is_refused(self, tmp_path, capsys):
+        for depth in ("-0.3", "nan"):
+            rc = cli.main(["sample", "--n", "4", "--d", "2", "--count", "1", "--seed", "3",
+                           "--interior", depth, "--output-dir", str(tmp_path / "s")])
+            captured = capsys.readouterr()
+            assert rc == 1 and captured.out == ""
+            assert "--interior" in captured.err
+        assert not (tmp_path / "s").exists()
+        # a depth of 0 is no flow
+        rc = cli.main(["sample", "--n", "4", "--d", "2", "--count", "1", "--seed", "3",
+                       "--interior", "0", "--output-dir", str(tmp_path / "z")])
+        assert rc == 0
+        capsys.readouterr()
+        want = random_form_product(4, 2, np.random.default_rng(3))
+        assert pio.load_poly(tmp_path / "z" / "sample_000.json").terms == want.terms
 
     def test_status_is_the_stable_certificate_of_the_file(self, tmp_path, capsys):
         statuses = {}

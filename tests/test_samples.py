@@ -12,6 +12,7 @@ from lorentzflow.samples import (
 )
 from lorentzflow.sep import uniform_decomposition
 
+import samples_reference as reference
 from mixtures import random_member_mixture, zero_coefficient_boundary
 
 
@@ -71,3 +72,26 @@ def test_generators_are_deterministic():
     a = random_form_product(3, 2, np.random.default_rng(7))
     b = random_form_product(3, 2, np.random.default_rng(7))
     assert a.terms == b.terms
+
+
+def _same(got, want):
+    assert type(got) is type(want) and got.kappa == want.kappa
+    assert np.array_equal(got.coeffs, want.coeffs)
+
+
+@pytest.mark.parametrize("n, d", [(1, 0), (3, 0), (1, 1), (1, 3), (3, 2), (4, 8), (8, 8), (12, 6), (16, 6)])
+def test_form_product_bits_match_the_dict_loop(n, d):
+    # two draws per generator, so the generator state must match too
+    for seed in range(2):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(2):
+            _same(random_form_product(n, d, ours), reference.random_form_product(n, d, theirs))
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (5, 2), (6, 1), (8, 4), (12, 6), (16, 8), (16, 16)])
+def test_disjoint_product_bits_match_the_subset_stack(n, d):
+    basis = subset_basis(n, d)
+    for seed in range(2):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(2):
+            _same(random_disjoint_form_product(basis, ours), reference.random_disjoint_form_product(basis, theirs))

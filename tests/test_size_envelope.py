@@ -1,6 +1,7 @@
 """The size envelope of the uniform flow: a (16,8) flow, a 16-variable
-capped flow, and the CLI commands that flow at (16,8), each in a fresh
-process whose address space is capped at 1 GB."""
+capped flow, the CLI commands that flow at (16,8) and the product
+sampler at (16,8) and (16,16), each in a fresh process whose address
+space is capped at 1 GB."""
 
 import json
 import math
@@ -44,10 +45,10 @@ def _limited():
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
 
 
-def _run(args, cwd):
+def _run(args, cwd, timeout=300):
     env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env, preexec_fn=_limited,
-                          capture_output=True, text=True, timeout=300)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 @pytest.mark.slow
@@ -82,3 +83,32 @@ def test_cli_flows_at_16_8_fit_in_1_gb(tmp_path):
     spectrum = _run(lf + ["spectrum", "--n", "16", "--d", "8"], tmp_path)
     assert spectrum.returncode == 0, spectrum.stderr[-2000:]
     assert len(json.loads(spectrum.stdout)["eigenvalues"]) == 12870
+
+
+PRODUCT = """
+import json, time
+import numpy as np
+from lorentzflow.samples import random_form_product
+
+started = time.perf_counter()
+f = random_form_product(16, 8, np.random.default_rng(16))
+print(json.dumps({"s": time.perf_counter() - started, "kappa": f.kappa, "size": f.coeffs.size}))
+"""
+
+
+@pytest.mark.slow
+def test_product_sampler_at_16_8_finishes(tmp_path):
+    proc = _run(["-c", PRODUCT], tmp_path)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    out = json.loads(proc.stdout)
+    assert out["kappa"] == [8] * 16 and out["size"] == math.comb(23, 8)
+    assert out["s"] < 2.0, out
+
+
+@pytest.mark.slow
+def test_product_sample_at_16_16_is_refused_at_once(tmp_path):
+    # 17^16 exponent codes pass int64: refused before any form is multiplied
+    proc = _run(["-m", "lorentzflow", "sample", "--kind", "product", "--n", "16", "--d", "16",
+                 "--count", "1", "--output-dir", "p16"], tmp_path, timeout=10)
+    assert proc.returncode == 1, proc.stderr[-2000:]
+    assert "int64" in proc.stderr
