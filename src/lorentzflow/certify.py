@@ -17,11 +17,20 @@ matrix of size at most n plus known repeated eigenvalues, and at
 kappa = 1^n the quotient is the multiaffine Hessian itself. One cached
 table per (d, kappa) says where every quotient matrix sits in the
 coefficient vector, laid out and lifted by ``poly``. The engine walks
-it in blocks, eigensolves each matrix size in a block with one stacked
-``eigh`` and stops at the first block that holds a failure: the lift's
-verdict, with no lift built. ``strata.exchange_violation`` runs only
-where it can fail: a support with every coefficient above tol is the
-uniform matroid, or the full capped box, which is M-convex.
+it in blocks and stops at the first block that holds a failure: the
+lift's verdict, with no lift built. A block of strict Hessians is
+proved strict with no eigenvalue (``_proved_strict``): with slack the
+cut, scaled by an upper bound of the trace norm, plus a rounding
+allowance, each Q_beta's Rayleigh quotient on the ones vector clears
+slack and Q_beta + slack I has one positive and k - 1 negative
+eigenvalues, which one stacked Cholesky of the Schur complement of the
+congruence by [1, e_2, ..., e_k] shows (Sylvester's law of inertia;
+Rump's shifted-Cholesky test). A block it cannot prove, and every block
+after it, goes each matrix size through one stacked ``eigh``, so every
+verdict and witness is that of the eigenvalues.
+``strata.exchange_violation`` runs only where it can fail: a support
+with every coefficient above tol is the uniform matroid, or the full
+capped box, which is M-convex.
 
 The stable certificate restricts f along a block of directions at once
 (``poly.restrict_lines``), runs the Newton power sums over all rows and
@@ -58,6 +67,7 @@ _DEGENERATE_LEAD = 1e-14
 _HESSIAN_BLOCK_ENTRIES = 1 << 14
 # sampled directions per block of the stable certificate
 _DIRECTION_BLOCK = 64
+_EPS = np.finfo(float).eps
 
 
 class VerdictStatus(enum.Enum):
@@ -100,6 +110,54 @@ def _checked_eigh(H):
     if ((ortho * ortho).sum(axis=(1, 2)) > (1e-10 * max(1.0, m)) ** 2).any():
         raise RuntimeError("eigenvectors failed orthonormality")
     return w, V
+
+
+def _proved_strict(Q, rest, tol: float) -> bool:
+    """Whether every row of a block is proved strict without computing
+    an eigenvalue: Q (B, k, k) symmetric, ``rest`` (B, r) each row's
+    within-block eigenvalues. True means ``_signatures`` calls every row
+    strict, so none fails; False proves nothing.
+
+    Per row, norm = sqrt(k) ||Q||_F + sum |rest| bounds the trace norm
+    from above, so slack = tol max(1, norm) is at least the cut of
+    ``_signatures``. On top of it comes a rounding allowance of
+    k^3 eps norm. It covers the rounding of the sums and of the
+    factorization below, some k^2 eps norm carried back through the
+    congruence, whose inverse has ||T^-1||^2 <= 2k - 1, and how far
+    ``eigh`` may move an eigenvalue. Then:
+
+    - the Rayleigh quotient 1'Q1 / k above slack puts the largest
+      eigenvalue above it;
+    - every within-block value lies below -slack;
+    - with M = Q + slack I, s = M 1 and a = 1'M1 > 0, the congruence by
+      T = [1, e_2, ..., e_k] gives T'MT = [[a, s_1'], [s_1, M_22]]. By
+      Sylvester's law of inertia M has one positive eigenvalue and
+      k - 1 negative ones when the Schur complement M_22 - s_1 s_1' / a
+      is negative definite, which one stacked Cholesky of its negative
+      proves: the second eigenvalue of Q lies below -slack.
+
+    The guard 1'Q1 >= ||Q||_F, true of every Q with nonnegative entries,
+    keeps s_1 s_1' / a of order k norm, so that the allowance bounds the
+    rounding.
+    """
+    k = Q.shape[-1]
+    frob = np.sqrt((Q * Q).sum(axis=(1, 2)))
+    norm = np.sqrt(k) * frob + np.abs(rest).sum(axis=1)
+    slack = tol * np.maximum(1.0, norm) + k**3 * _EPS * norm
+    total = Q.sum(axis=(1, 2))
+    if not ((total > k * slack) & (total >= frob) & (rest < -slack[:, None]).all(axis=1)).all():
+        return False
+    if k == 1:  # no second eigenvalue
+        return True
+    s = Q.sum(axis=1) + slack[:, None]
+    a = s.sum(axis=1)
+    neg = s[:, 1:, None] * (s[:, None, 1:] / a[:, None, None]) - Q[:, 1:, 1:]
+    neg[:, np.arange(k - 1), np.arange(k - 1)] -= slack[:, None]
+    try:
+        np.linalg.cholesky(neg)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _signatures(w, tol: float):
@@ -207,12 +265,14 @@ def _lorentzian(g: np.ndarray, table: _Table, tol: float, keys, name) -> Verdict
     keys of one exponent and of the two members of an exchange
     violation, and ``name`` turns an exponent into its witness value.
 
-    The Hessians go in row order and block by block, each matrix size in
-    a block through one stacked eigensolve, and the first block that
-    holds a failure ends the scan. When every coefficient clears tol the
-    support is the whole family: the uniform matroid, or the full capped
-    box, which is M-convex. Only a support with some coefficient within
-    tol goes through ``exchange_violation``.
+    The Hessians go in row order and block by block. A block that
+    ``_proved_strict`` proves strict, every matrix size in it at once,
+    needs no eigenvalue; any other goes each matrix size through one
+    stacked eigensolve, and so does every block after it. The first
+    block that holds a failure ends the scan. When every coefficient
+    clears tol the support is the whole family: the uniform matroid, or
+    the full capped box, which is M-convex. Only a support with some
+    coefficient within tol goes through ``exchange_violation``.
     """
     coeffs = g[: len(table.digits)]
     worst = int(np.argmin(coeffs))
@@ -226,7 +286,7 @@ def _lorentzian(g: np.ndarray, table: _Table, tol: float, keys, name) -> Verdict
     iu, ju = table.upper
     width = table.width
     step = max(1, _HESSIAN_BLOCK_ENTRIES // max(1, width * width))
-    all_strict = True
+    all_strict = attempt = True
     for lo in range(0, table.index.shape[0], step):
         block = slice(lo, lo + step)
         vals = g[table.index[block]]
@@ -239,9 +299,13 @@ def _lorentzian(g: np.ndarray, table: _Table, tol: float, keys, name) -> Verdict
         # with no within-block part every Q_beta is width x width
         w = np.empty((vals.shape[0], width)) if table.rest is None else -g[table.rest[block]]
         sizes = None if table.size is None else table.size[block]
-        for k in [width] if sizes is None else sorted(set(sizes.tolist())):
-            rows = slice(None) if sizes is None else sizes == k
-            # Q_beta is the trailing k x k block
+        # rows by size of Q_beta, the trailing k x k block
+        groups = [(slice(None), width)] if sizes is None else [(sizes == k, k) for k in sorted(set(sizes.tolist()))]
+        # after one declined block the scan goes straight to the eigensolve
+        if attempt and all(_proved_strict(H[rows, width - k :, width - k :], w[rows, k:], tol) for rows, k in groups):
+            continue
+        attempt = False
+        for rows, k in groups:
             w[rows, :k] = _checked_eigh(H[rows, width - k :, width - k :])[0]
         if table.rest is not None:
             w.sort(axis=1)

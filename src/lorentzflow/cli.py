@@ -202,7 +202,6 @@ def cmd_sample(args) -> int:
     if not args.interior >= 0.0:
         raise ValueError(f"--interior must be a nonnegative flow depth, got {args.interior}")
     _announce_seed(args.seed)
-    os.makedirs(args.output_dir, exist_ok=True)
     rng = np.random.default_rng(args.seed)
     names = []
     for k in range(args.count):
@@ -216,6 +215,8 @@ def cmd_sample(args) -> int:
         if check.status is VerdictStatus.REJECTED:
             raise RuntimeError("generated sample failed its stability certificate")
         name = f"sample_{k:03d}.json"
+        # made once the sampler has taken the shape, so a refusal leaves nothing behind
+        os.makedirs(args.output_dir, exist_ok=True)
         pio.save_poly(g, f"{args.output_dir}/{name}")
         names.append({"file": name, "status": check.status.value})
     _emit(pio.dumps({"seed": args.seed, "samples": names}), None)

@@ -229,6 +229,38 @@ class TestOneEngine:
             assert sum(solved) <= C._HESSIAN_BLOCK_ENTRIES // (m * m), certify.__name__
 
 
+class TestStrictBlocks:
+    """Blocks of strict Hessians are proved with no eigensolve, and the
+    proof changes no verdict."""
+
+    def test_strict_inputs_skip_the_eigensolve(self, monkeypatch):
+        real = C._checked_eigh
+        solved = []
+
+        def counting(H):
+            solved.append(H.shape[0])
+            return real(H)
+
+        monkeypatch.setattr(C, "_checked_eigh", counting)
+        e = normalize_at_ones(elementary_symmetric(16, 8))
+        assert certify_multiaffine(e).status is VerdictStatus.STRICT_INTERIOR
+        product = random_form_product(4, 4, np.random.default_rng(16))
+        assert certify_hom(product).status is VerdictStatus.STRICT_INTERIOR
+        assert solved == []
+        partition = random_disjoint_form_product(subset_basis(12, 6), np.random.default_rng(0))
+        assert certify_multiaffine(partition).status is VerdictStatus.BOUNDARY_WITHIN_TOL
+        assert sum(solved) > 0
+
+    def test_same_verdicts_without_the_proof(self, corpus, monkeypatch):
+        def run():
+            return [(certify_hom(f, tol) if isinstance(f, HomPoly) else certify_multiaffine(f, tol))
+                    for f in corpus.values() for tol in (C.DEFAULT_TOL, 0.0)]
+
+        fast = run()
+        monkeypatch.setattr(C, "_proved_strict", lambda Q, rest, tol: False)
+        assert fast == run()
+
+
 class TestRestrictLines:
     @pytest.mark.parametrize("n, d", [(3, 0), (4, 1), (6, 3), (10, 5)])
     def test_multiaffine_matches_reference(self, n, d):

@@ -163,6 +163,11 @@ class TestAgainstLift:
                 assert row.shape == want.shape == (sum(f.kappa) - f.d + 2,)
                 assert np.max(np.abs(row - want)) <= 1e-12 * scale
 
+    def test_same_verdicts_without_the_strict_proof(self, corpus, monkeypatch):
+        fast = [certify_hom(f, tol) for f in corpus for tol in (C.DEFAULT_TOL, 0.0)]
+        monkeypatch.setattr(C, "_proved_strict", lambda Q, rest, tol: False)
+        assert fast == [certify_hom(f, tol) for f in corpus for tol in (C.DEFAULT_TOL, 0.0)]
+
 
 class TestOneEngine:
     def test_negative_coefficient_ties_name_the_first_in_colex_order(self):

@@ -15,6 +15,7 @@ from lorentzflow.certify import (
     VerdictStatus,
     _checked_eigh,
     _hankel,
+    _proved_strict,
     _signatures,
     _trim_rows,
     certify_hom,
@@ -103,6 +104,79 @@ class TestSignature:
     def test_zero_matrix_within_tolerance(self):
         label, _ = _signature(np.zeros((3, 3)))
         assert label == "at_most_one_positive"
+
+
+def _with_spectrum(w, rng, tilt=0.0):
+    """Symmetric matrix with eigenvalues w whose eigenvector of w[0] is
+    the ones vector, tilted by ``tilt`` times Gaussian noise."""
+    k = len(w)
+    X = rng.standard_normal((k, k))
+    X[:, 0] = 1.0 + tilt * rng.standard_normal(k)
+    V, _ = np.linalg.qr(X)
+    Q = (V * np.asarray(w, dtype=float)) @ V.T
+    return (Q + Q.T) / 2
+
+
+def _row_signature(Q, rest, tol):
+    """(fail, strict) of one lifted row: eig(Q) through the checked
+    eigensolve, then the within-block values."""
+    w = np.sort(np.concatenate([_checked_eigh(Q[None])[0][0], rest]))
+    fail, strict = _signatures(w[None], tol)
+    return bool(fail[0]), bool(strict[0])
+
+
+class TestStrictProof:
+    """``_proved_strict`` accepts only rows that ``_signatures`` calls
+    strict, and declines every row it cannot prove."""
+
+    def test_declines_second_eigenvalue_between_slack_and_cutoff(self):
+        tol, k = 1e-3, 6
+        others = [1.0] + [-1.0] * (k - 2)
+        # the cutoff counts the trace norm, the slack bounds it by sqrt(k) ||Q||_F
+        lam2 = -tol * (np.abs(others).sum() + math.sqrt(k) * np.linalg.norm(others)) / 2
+        w = [others[0], lam2, *others[1:]]
+        Q = _with_spectrum(w, np.random.default_rng(1))
+        cutoff = tol * np.abs(w).sum()
+        slack_floor = tol * math.sqrt(k) * np.linalg.norm(Q)
+        assert cutoff < -lam2 < slack_floor
+        assert _row_signature(Q, np.empty(0), tol) == (False, True)
+        assert not _proved_strict(Q[None], np.empty((1, 0)), tol)
+
+    def test_declines_two_positive_eigenvalues(self):
+        Q = _with_spectrum([1.0, 0.5, -1.0, -1.0], np.random.default_rng(2))
+        assert _row_signature(Q, np.empty(0), 1e-9) == (True, False)
+        assert not _proved_strict(Q[None], np.empty((1, 0)), 1e-9)
+
+    def test_declines_a_within_block_value_above_slack(self):
+        Q = np.ones((4, 4)) - np.eye(4)
+        assert _proved_strict(Q[None], np.array([[-1.0, -0.5]]), 1e-9)
+        for value in (0.0, -0.5e-9):
+            rest = np.array([-1.0, value])
+            assert not _proved_strict(Q[None], rest[None], 1e-9)
+            assert _row_signature(Q, rest, 1e-9) == (False, False)
+
+    def test_accepted_rows_are_strict(self):
+        # lambda_2 on both sides of the cutoff, up to rounding distance
+        rng = np.random.default_rng(36)
+        accepted = declined = 0
+        for k in range(2, 17):
+            for tol in (1e-9, 0.0, 1e-6):
+                for offset in (-1e-3, -1e-9, -1e-13, 0.0, 1e-13, 1e-9, 1e-3):
+                    for tilt in (0.0, 0.3):
+                        rest = -rng.uniform(0.1, 1.0, size=int(rng.integers(0, 4)))
+                        lower = -rng.uniform(0.1, 1.0, size=k - 2)
+                        top = 1.0 + rng.uniform()
+                        total = top + np.abs(lower).sum() + np.abs(rest).sum()
+                        cutoff = tol * max(1.0, total)
+                        cutoff = tol * max(1.0, total + cutoff)
+                        w = [top, -cutoff - offset, *lower]
+                        Q = _with_spectrum(w, rng, tilt)
+                        if _proved_strict(Q[None], rest[None], tol):
+                            accepted += 1
+                            assert _row_signature(Q, rest, tol) == (False, True), (k, tol, offset, tilt)
+                        else:
+                            declined += 1
+        assert accepted > 0 and declined > 0
 
 
 class TestCertifyMultiaffine:

@@ -488,6 +488,15 @@ class TestSampleCommand:
         written = sorted(p.name for p in (tmp_path / "out" / "nested").iterdir())
         assert written == [s["file"] for s in manifest["samples"]] == ["sample_000.json", "sample_001.json"]
 
+    def test_refused_shape_leaves_no_output_directory(self, tmp_path, capsys):
+        # 17^16 exponent codes at (16,16) pass int64
+        rc = cli.main(["sample", "--kind", "product", "--n", "16", "--d", "16", "--count", "1",
+                       "--output-dir", str(tmp_path / "p16")])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert "int64" in captured.err
+        assert not (tmp_path / "p16").exists()
+
     def test_interior_flag_gives_strict_members(self, tmp_path, capsys):
         out_dir = tmp_path / "s"
         out_dir.mkdir()
