@@ -19,15 +19,10 @@ table per (d, kappa) says where every quotient matrix sits in the
 coefficient vector, laid out and lifted by ``poly``. The engine walks
 it in blocks and stops at the first block that holds a failure: the
 lift's verdict, with no lift built. A block of strict Hessians is
-proved strict with no eigenvalue (``_proved_strict``): with slack the
-cut, scaled by an upper bound of the trace norm, plus a rounding
-allowance, each Q_beta's Rayleigh quotient on the ones vector clears
-slack and Q_beta + slack I has one positive and k - 1 negative
-eigenvalues, which one stacked Cholesky of the Schur complement of the
-congruence by [1, e_2, ..., e_k] shows (Sylvester's law of inertia;
-Rump's shifted-Cholesky test). A block it cannot prove, and every block
-after it, goes each matrix size through one stacked ``eigh``, so every
-verdict and witness is that of the eigenvalues.
+proved strict by one shifted Cholesky and no eigenvalue
+(``_proved_strict``); a block it declines, and every block after it,
+goes each matrix size through one stacked ``eigh``, so every verdict and
+witness is that of the eigenvalues.
 ``strata.exchange_violation`` runs only where it can fail: a support
 with every coefficient above tol is the uniform matroid, or the full
 capped box, which is M-convex.
@@ -120,11 +115,14 @@ def _proved_strict(Q, rest, tol: float) -> bool:
 
     Per row, norm = sqrt(k) ||Q||_F + sum |rest| bounds the trace norm
     from above, so slack = tol max(1, norm) is at least the cut of
-    ``_signatures``. On top of it comes a rounding allowance of
-    k^3 eps norm. It covers the rounding of the sums and of the
-    factorization below, some k^2 eps norm carried back through the
-    congruence, whose inverse has ||T^-1||^2 <= 2k - 1, and how far
-    ``eigh`` may move an eigenvalue. Then:
+    ``_signatures`` when tol >= 0; a negative or NaN tol proves nothing.
+    On top of it comes a rounding allowance of k^4 eps norm, the order of
+    the standard bounds: Cholesky's backward error gamma_{k+1} |R'||R| is
+    at most some k^3 eps norm on the eliminated matrix, and the inverse of
+    the congruence below has ||T^-1||^2 <= 2k - 1. The rounding of the
+    sums and how far ``eigh`` may move an eigenvalue are not derived, so
+    the allowance is a margin checked by the seeded sweep in the tests,
+    not a worst-case bound. Then:
 
     - the Rayleigh quotient 1'Q1 / k above slack puts the largest
       eigenvalue above it;
@@ -137,13 +135,14 @@ def _proved_strict(Q, rest, tol: float) -> bool:
       proves: the second eigenvalue of Q lies below -slack.
 
     The guard 1'Q1 >= ||Q||_F, true of every Q with nonnegative entries,
-    keeps s_1 s_1' / a of order k norm, so that the allowance bounds the
-    rounding.
+    keeps s_1 s_1' / a, and so the eliminated matrix, of order k norm.
     """
+    if not tol >= 0:
+        return False
     k = Q.shape[-1]
     frob = np.sqrt((Q * Q).sum(axis=(1, 2)))
     norm = np.sqrt(k) * frob + np.abs(rest).sum(axis=1)
-    slack = tol * np.maximum(1.0, norm) + k**3 * _EPS * norm
+    slack = tol * np.maximum(1.0, norm) + k**4 * _EPS * norm
     total = Q.sum(axis=(1, 2))
     if not ((total > k * slack) & (total >= frob) & (rest < -slack[:, None]).all(axis=1)).all():
         return False

@@ -155,12 +155,30 @@ class TestStrictProof:
             assert not _proved_strict(Q[None], rest[None], 1e-9)
             assert _row_signature(Q, rest, 1e-9) == (False, False)
 
+    def test_negative_tol_proves_nothing(self):
+        # a negative tol lowers the cut of _signatures below zero, where
+        # the slack no longer bounds it
+        Q = np.ones((4, 4)) - np.eye(4)
+        assert _proved_strict(Q[None], np.empty((1, 0)), 0.0)
+        for tol in (-1e-4, float("nan")):
+            assert not _proved_strict(Q[None], np.empty((1, 0)), tol)
+        # c01 = c23 = 2y + delta, every other pair y: the Hessian has a
+        # second positive eigenvalue of about delta, inside the cut at -1e-4
+        delta = 1e-5
+        y = (1 - 2 * delta) / 8
+        basis = subset_basis(4, 2)
+        coeffs = np.full(basis.size, y)
+        coeffs[[basis.rank((0, 1)), basis.rank((2, 3))]] = 2 * y + delta
+        v = certify_multiaffine(MultiAffinePoly(basis, coeffs), tol=-1e-4)
+        assert v.status is VerdictStatus.REJECTED
+        assert v.witness["kind"] == "hessian_signature"
+
     def test_accepted_rows_are_strict(self):
         # lambda_2 on both sides of the cutoff, up to rounding distance
         rng = np.random.default_rng(36)
         accepted = declined = 0
         for k in range(2, 17):
-            for tol in (1e-9, 0.0, 1e-6):
+            for tol in (1e-9, 0.0, 1e-6, -1e-4):
                 for offset in (-1e-3, -1e-9, -1e-13, 0.0, 1e-13, 1e-9, 1e-3):
                     for tilt in (0.0, 0.3):
                         rest = -rng.uniform(0.1, 1.0, size=int(rng.integers(0, 4)))

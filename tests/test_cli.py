@@ -497,6 +497,14 @@ class TestSampleCommand:
         assert "int64" in captured.err
         assert not (tmp_path / "p16").exists()
 
+    def test_no_sample_makes_no_directory(self, tmp_path, capsys):
+        # the directory is made when the first sample is written
+        rc = cli.main(["sample", "--n", "3", "--d", "2", "--count", "0", "--seed", "5",
+                       "--output-dir", str(tmp_path / "none")])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out) == {"seed": 5, "samples": []}
+        assert not (tmp_path / "none").exists()
+
     def test_interior_flag_gives_strict_members(self, tmp_path, capsys):
         out_dir = tmp_path / "s"
         out_dir.mkdir()
