@@ -14,7 +14,8 @@ have w = 1, the Helmert frame of the centered coefficient vector. Capped
 inputs flow and are framed on their composition chain, with no lift: on
 block-symmetric vectors the lift's inner product is the Euclidean one of
 c / w, so the lifted frame would give the same norms and distances in
-C(sum(kappa), d) - 1 coordinates.
+C(sum(kappa), d) - 1 coordinates. No flow is built or picked here: every
+input flows on the decomposition that ``sep._resolve`` picks.
 """
 
 from __future__ import annotations
@@ -30,13 +31,12 @@ from .certify import (
     DEFAULT_SEED,
     DEFAULT_TOL,
     Verdict,
+    _check_tol,
     certify_hom,
     certify_multiaffine,
     certify_stable,
 )
-from .poly import HomPoly
-from .polarization import PolarizationPlan, _on_chain
-from .sep import _MAX_EXPONENT, SpectralDecomposition, _centered, _flow_at, centered_norm
+from .sep import _MAX_EXPONENT, SpectralDecomposition, _centered, _flow_at, _resolve, centered_norm
 
 # centered norms below this are treated as the flow's fixed point
 CENTER_EPS = 1e-10
@@ -53,12 +53,15 @@ class EscapeNotBracketed(Exception):
 @dataclass(frozen=True)
 class MembershipOracle:
     """A certified space: a tag, a function from polynomial to Verdict,
-    and the tolerance the certificates run at. Membership means any
-    verdict other than Rejected."""
+    and the tolerance the certificates run at, refused outside [0, inf).
+    Membership means any verdict other than Rejected."""
 
     space: str
     certify: Callable[[object], Verdict]
     tol: float
+
+    def __post_init__(self):
+        _check_tol(self.tol)
 
     def is_member(self, f) -> bool:
         return self.certify(f).is_member
@@ -108,23 +111,13 @@ def _helmert(x: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (u[1:] * np.cumsum(u * x)[:-1] - S[:-1] * x[1:]) / np.sqrt(S[:-1] * S[1:])
 
 
-def _decomposition(f, dec: SpectralDecomposition | None, plan: PolarizationPlan | None):
-    """f and the decomposition its flow runs on: ``dec`` for a multiaffine
-    polynomial that comes with one, else the composition chain keyed by
-    f's (d, kappa) (a lifted ``dec`` of a capped polynomial is only
-    checked, see ``polarized_flow``)."""
-    if dec is not None and not isinstance(f, HomPoly):
-        return f, dec
-    return _on_chain(f, plan, dec)
-
-
 def escape_time(
     f,
     oracle: MembershipOracle,
     dec: SpectralDecomposition | None = None,
     s_max: float = 50.0,
     tol: float = 1e-8,
-    plan: PolarizationPlan | None = None,
+    plan=None,
 ) -> EscapeTimeResult:
     """Locate the backward-flow exit from the oracle's space.
 
@@ -132,11 +125,14 @@ def escape_time(
     to width ``tol``, which must be positive, or until its ends are
     adjacent floats. The reported time inherits the oracle's tolerance on
     top of the bracket width. Raises InfiniteEscape at the fixed point and
-    EscapeNotBracketed when no exit occurs before ``s_max``.
+    EscapeNotBracketed when no exit occurs before ``s_max``, which must be
+    positive. f flows on the decomposition that ``sep._resolve`` picks.
     """
     if not tol > 0.0:
         raise ValueError(f"bisection width tol must be positive, got {tol}")
-    f, dec = _decomposition(f, dec, plan)
+    if not s_max > 0.0:
+        raise ValueError(f"backward time cap s_max must be positive, got {s_max}")
+    f, dec = _resolve(f, dec, plan)
     if centered_norm(f, dec) < CENTER_EPS:
         raise InfiniteEscape("input is the flow's fixed point")
     if not oracle.is_member(f):
@@ -163,9 +159,7 @@ def escape_time(
     sigma = 0.5 * (lo + hi)
     anchor = at(-sigma)
     x = _helmert(_centered(anchor, dec), dec.weights)
-    nrm = float(np.linalg.norm(x))
-    direction = x / nrm
-    ball_point = math.exp(-sigma) * direction
+    ball_point = math.exp(-sigma) * (x / float(np.linalg.norm(x)))
     ball_point.flags.writeable = False
     return EscapeTimeResult(sigma, anchor, ball_point, True, hi - lo)
 
@@ -178,20 +172,14 @@ class TrajectorySample:
     verdict: Verdict | None
 
 
-def trajectory(f, dec, times, oracle: MembershipOracle | None = None, plan=None):
-    """Flow snapshots at the given times: polynomial, centered norm, and
-    (when an oracle is supplied) the certification verdict."""
-    f, dec = _decomposition(f, dec, plan)
+def trajectory(f, dec, times, oracle: MembershipOracle | None = None):
+    """Flow snapshots at the given times, on the decomposition that
+    ``sep._resolve`` picks: polynomial, centered norm, and (when an oracle
+    is supplied) the certification verdict."""
+    f, dec = _resolve(f, dec)
     at = _flow_at(f, dec)
     rows = []
-    for t in times:
-        g = at(float(t))
-        rows.append(
-            TrajectorySample(
-                float(t),
-                g,
-                centered_norm(g, dec),
-                oracle.certify(g) if oracle is not None else None,
-            )
-        )
+    for t in map(float, times):
+        g = at(t)
+        rows.append(TrajectorySample(t, g, centered_norm(g, dec), oracle.certify(g) if oracle is not None else None))
     return rows

@@ -5,9 +5,11 @@ power sums.
 Verdicts are three-valued. StrictInterior means every sub-check passed
 with margin above the tolerance; BoundaryWithinTol means the polynomial
 sits within tolerance of the membership conditions; Rejected is
-conclusive and always carries a witness. The stability certificate
-samples directions, so there only Rejected is conclusive and the other
-two verdicts are evidence at the sampled resolution.
+conclusive and always carries a witness. Every certificate refuses a
+tolerance outside [0, inf), NaN included, before any work. The
+stability certificate samples directions, so there only Rejected is
+conclusive and the other two verdicts are evidence at the sampled
+resolution.
 
 One engine decides every Lorentzian input. A multiaffine polynomial is
 the capped polynomial with kappa = 1^n, and for every cap vector the
@@ -332,11 +334,16 @@ def _lorentzian(g: np.ndarray, table: _Table, tol: float, keys, name) -> Verdict
     return Verdict(VerdictStatus.REJECTED, witness, tol)
 
 
-def _check_normalized(f) -> None:
+def _check_tol(tol: float) -> None:
+    """Refuse a tolerance outside [0, inf), NaN included."""
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
+
+
+def _check_input(f, tol: float) -> None:
+    _check_tol(tol)
     if abs(f.value_at_ones() - 1.0) > 1e-9:
-        raise ValueError(
-            f"polynomial is not normalized: value at the all-ones point is {f.value_at_ones()}"
-        )
+        raise ValueError(f"polynomial is not normalized: value at the all-ones point is {f.value_at_ones()}")
 
 
 def certify_multiaffine(f: MultiAffinePoly, tol: float = DEFAULT_TOL) -> Verdict:
@@ -352,7 +359,7 @@ def certify_multiaffine(f: MultiAffinePoly, tol: float = DEFAULT_TOL) -> Verdict
     uniform matroid, and the exchange check is skipped. This is
     ``certify_hom`` at kappa = 1^n, with witnesses that name subsets.
     """
-    _check_normalized(f)
+    _check_input(f, tol)
     table = _table(f.d, (1,) * f.n)
     return _lorentzian(f.coeffs, table, tol, ("subset", "basis_one", "basis_two"),
                        lambda alpha: [i for i, a in enumerate(alpha) if a])
@@ -379,7 +386,7 @@ def certify_hom(f: HomPoly, tol: float = DEFAULT_TOL) -> Verdict:
     exchange failure reports ``exchange_violation``'s first violating
     (alpha, beta, i) as ``exponent_one``, ``exponent_two`` and ``element``.
     """
-    _check_normalized(f)
+    _check_input(f, tol)
     g = np.append(_lift_values(f), 0.0)
     return _lorentzian(g, _table(f.d, f.kappa), tol, ("exponent", "exponent_one", "exponent_two"), list)
 
@@ -388,10 +395,9 @@ def certify_hom(f: HomPoly, tol: float = DEFAULT_TOL) -> Verdict:
 _DISTINCT, _TIES, _COMPLEX = range(3)
 
 
-def _trim_rows(lines: np.ndarray):
+def _trim_rows(lines: np.ndarray) -> np.ndarray:
     """Per row of coefficients (R, k): the degree left after dropping
-    degenerate leading coefficients, and whether a nonzero one was
-    dropped."""
+    degenerate leading coefficients."""
     if lines.shape[1] == 0:
         raise ValueError("zero polynomial")
     size = np.abs(lines)
@@ -399,9 +405,7 @@ def _trim_rows(lines: np.ndarray):
     if np.any(scale == 0.0):
         raise ValueError("zero polynomial")
     live = size >= _DEGENERATE_LEAD * scale[:, None]
-    deg = lines.shape[1] - 1 - np.argmax(live[:, ::-1], axis=1)
-    dropped = np.any((lines != 0.0) & (np.arange(lines.shape[1]) > deg[:, None]), axis=1)
-    return deg, dropped
+    return lines.shape[1] - 1 - np.argmax(live[:, ::-1], axis=1)
 
 
 def _hankel(c: np.ndarray) -> np.ndarray:
@@ -424,10 +428,10 @@ def _hankel(c: np.ndarray) -> np.ndarray:
 
 def _root_classes(lines: np.ndarray, tol: float):
     """Per row of coefficients (R, k): its root class (_DISTINCT, _TIES
-    or _COMPLEX), with the tolerance scaled by the Hankel trace, and the
-    degree-drop flag. Rows are grouped by trimmed degree and each group's
-    Hankel eigenvalues come from one stacked eigvalsh."""
-    deg, dropped = _trim_rows(lines)
+    or _COMPLEX), with the tolerance scaled by the Hankel trace. Rows are
+    grouped by trimmed degree and each group's Hankel eigenvalues come
+    from one stacked eigvalsh."""
+    deg = _trim_rows(lines)
     if np.any(deg < 1):
         raise ValueError("need degree at least 1")
     codes = np.empty(lines.shape[0], dtype=np.intp)
@@ -437,7 +441,7 @@ def _root_classes(lines: np.ndarray, tol: float):
         w0 = np.linalg.eigvalsh(H)[:, 0]
         eff = tol * np.maximum(1.0, np.trace(H, axis1=1, axis2=2))
         codes[rows] = np.where(w0 > eff, _DISTINCT, np.where(w0 < -eff, _COMPLEX, _TIES))
-    return codes, dropped
+    return codes
 
 
 @lru_cache(maxsize=16)
@@ -482,7 +486,7 @@ def certify_stable(
     d clears the tolerance. A negative coefficient's witness is the first
     in code order, for a capped f the lexicographically first.
     """
-    _check_normalized(f)
+    _check_input(f, tol)
     exponents = f.table.digits
     negative = np.flatnonzero(f.coeffs < -tol)
     if negative.size:
@@ -506,7 +510,7 @@ def certify_stable(
     for lo in range(0, directions, _DIRECTION_BLOCK):
         ys = samples[lo : lo + _DIRECTION_BLOCK]
         lines = restrict_lines(f, ys)
-        codes, _ = _root_classes(lines, tol)
+        codes = _root_classes(lines, tol)
         complex_rows = np.flatnonzero(codes == _COMPLEX)
         if complex_rows.size:
             k = int(complex_rows[0])

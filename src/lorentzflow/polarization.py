@@ -1,7 +1,6 @@
 """Polarization: the linear isomorphism between degree-capped polynomials
 and multiaffine polynomials that are symmetric within blocks of fresh
-variables, plus the capped-space flow that this isomorphism conjugates
-out of the multiaffine one.
+variables.
 
 Lifting replaces the i-th variable raised to the power a by the degree-a
 elementary symmetric polynomial in that variable's block, divided by the
@@ -9,13 +8,10 @@ number of its monomials; projecting substitutes every block variable back
 to the original one. Lift-then-project is the identity; project-then-lift
 symmetrizes within blocks.
 
-On block-symmetric vectors the uniform exclusion flow is the multi-urn
-Bernoulli-Laplace chain on the compositions alpha <= kappa, so capped
-flows run on that chain's few states and never build the lift; only a
+No flow is built or picked here: ``polarized_flow`` runs ``sep.flow`` on
+the decomposition that ``sep._resolve`` picks, for capped input the
+composition chain, so no flow builds the lift; only a
 ``PolarizationPlan``, which holds the lifted basis, needs sum(kappa) <= 16.
-For every kappa the chain holds the inclusion maps of
-``sep._InclusionMaps`` and no eigenbasis; at kappa = 1^n it is the
-uniform multiaffine flow.
 """
 
 from __future__ import annotations
@@ -26,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .poly import HomPoly, MultiAffinePoly, MAX_VARS, _binomials, _lift_values, exponent_table, subset_basis
-from .sep import SpectralDecomposition, _uniform, flow, uniform_decomposition
+from .sep import SpectralDecomposition, _on_plan, _resolve, flow, uniform_decomposition
 
 
 class PolarizationPlan:
@@ -76,20 +72,12 @@ def _lift(d: int, kappa: tuple) -> np.ndarray:
     return index
 
 
-def _on_plan(f, plan: PolarizationPlan):
-    """f with the plan's caps."""
-    if plan.n != f.n or plan.d != f.d:
-        raise ValueError(f"plan {plan!r} does not match polynomial {f!r}")
-    return f if f.kappa == plan.kappa else HomPoly(plan.n, plan.d, plan.kappa, f.terms)
-
-
 def polarize_up(f: HomPoly, plan: PolarizationPlan | None = None) -> MultiAffinePoly:
     """Lift a capped polynomial to the multiaffine polynomial that is
     symmetric within each block: every lifted subset gets the lift's
     coefficient of its composition (``_lift_values``), one gather over
     the lifted basis."""
-    if plan is None:
-        plan = PolarizationPlan(f.n, f.d, f.kappa)
+    plan = plan or PolarizationPlan(f.n, f.d, f.kappa)
     g = _lift_values(_on_plan(f, plan))
     return MultiAffinePoly(plan.lifted_basis, g[_lift(plan.d, plan.kappa)])
 
@@ -109,38 +97,9 @@ def project_down(g: MultiAffinePoly, plan: PolarizationPlan) -> HomPoly:
 @lru_cache(maxsize=32)
 def lifted_decomposition(lifted_n: int, d: int) -> SpectralDecomposition:
     """Cached uniform flow on the lifted basis, from its inclusion maps:
-    the flow that ``composition_chain`` reduces, kept for callers that
+    the flow that ``sep.composition_chain`` reduces, kept for callers that
     flow lifted polynomials themselves."""
     return uniform_decomposition(lifted_n, d)
-
-
-@lru_cache(maxsize=32)
-def composition_chain(d: int, kappa: tuple) -> SpectralDecomposition:
-    """The multi-urn Bernoulli-Laplace chain on the compositions
-    alpha <= kappa of d (Diaconis-Shahshahani 1987), which is the lifted
-    uniform flow seen on block-symmetric vectors, for every cap vector:
-    its ``sep._InclusionMaps`` split a vector into Johnson eigenspace
-    parts with no eigenbasis. The chain is reversible for
-    W = prod_i C(kappa_i, alpha_i), and its weights are sqrt(W). At
-    kappa = 1^n it is ``uniform_decomposition(n, d)``."""
-    if sum(kappa) < 2:
-        raise ValueError(f"need at least two lifted variables, got {sum(kappa)}")
-    return _uniform(d, kappa)
-
-
-def _on_chain(f, plan: PolarizationPlan | None, dec: SpectralDecomposition | None):
-    """f with the plan's caps, and the composition chain that flows it.
-    With no plan, f keeps its caps and no lift is built. A lifted ``dec``
-    is only checked to be the uniform flow on the plan's lifted basis."""
-    if dec is not None:
-        plan = plan or PolarizationPlan(f.n, f.d, f.kappa)
-        if dec.basis != plan.lifted_basis:
-            raise ValueError(f"decomposition lives on {dec.basis!r}, plan expects {plan.lifted_basis!r}")
-        if not dec.rates.uniform:
-            raise ValueError("capped flows use uniform rates on the lifted variables")
-    if plan is not None:
-        f = _on_plan(f, plan)
-    return f, composition_chain(f.d, f.kappa)
 
 
 def polarized_flow(
@@ -149,14 +108,14 @@ def polarized_flow(
     plan: PolarizationPlan | None = None,
     dec: SpectralDecomposition | None = None,
 ) -> HomPoly:
-    """Flow a capped or multiaffine polynomial for time ``s``: the
-    uniform-rate flow on the lifted variables, which ``sep.flow`` runs on
-    the composition chain of f's (d, kappa) as
-    c' = W (P_0 g + sum_k exp(-s (1 - lambda_k)) P_k g), g = c / W, on the
-    coefficients c in code order. A decomposition ``dec`` is only checked
-    to be the uniform one on the plan's lifted basis; it is not used."""
-    f, chain = _on_chain(f, plan, dec)
-    return flow(f, s, chain)
+    """Flow a capped or multiaffine polynomial for time ``s`` on the
+    decomposition that ``sep._resolve`` picks: ``dec`` for a multiaffine f
+    with no plan, else the composition chain of f's (d, kappa), after the
+    plan's caps, as c' = W (P_0 g + sum_k exp(-s (1 - lambda_k)) P_k g),
+    g = c / W, on the coefficients c in code order; there ``dec`` is only
+    checked to be the uniform flow on the lifted basis."""
+    f, dec = _resolve(f, dec, plan)
+    return flow(f, s, dec)
 
 
 def stable_center(n: int, d: int) -> HomPoly:

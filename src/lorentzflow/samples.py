@@ -17,6 +17,9 @@ from .certify import VerdictStatus, certify_multiaffine
 from .poly import HomPoly, MultiAffinePoly, SubsetBasis, normalize_at_ones
 from .sep import SpectralDecomposition, flow
 
+# how far random_interior_member flows its product forward
+INTERIOR_DEPTH = 0.5
+
 
 def _product(table, forms) -> np.ndarray:
     """Coefficients in ``table`` order of the product of linear forms,
@@ -58,16 +61,11 @@ def random_disjoint_form_product(basis: SubsetBasis, rng) -> MultiAffinePoly:
     return normalize_at_ones(MultiAffinePoly(basis, _product(basis.table, [(g, weights[g]) for g in groups])))
 
 
-def random_interior_member(
-    basis: SubsetBasis,
-    dec: SpectralDecomposition,
-    rng,
-    depth: float = 0.5,
-    tol: float = 1e-9,
-) -> MultiAffinePoly:
+def random_interior_member(basis: SubsetBasis, dec: SpectralDecomposition, rng) -> MultiAffinePoly:
     """Strict-interior member: flow a disjoint-group product forward by
-    ``depth``, which moves it strictly inside, and certify it once."""
-    cand = flow(random_disjoint_form_product(basis, rng), depth, dec)
-    if certify_multiaffine(cand, tol).status is not VerdictStatus.STRICT_INTERIOR:
-        raise RuntimeError(f"flowed member is not strict after depth {depth}")
+    ``INTERIOR_DEPTH``, which moves it strictly inside, and certify it
+    once at the default tolerance."""
+    cand = flow(random_disjoint_form_product(basis, rng), INTERIOR_DEPTH, dec)
+    if certify_multiaffine(cand).status is not VerdictStatus.STRICT_INTERIOR:
+        raise RuntimeError(f"flowed member is not strict after depth {INTERIOR_DEPTH}")
     return cand

@@ -11,17 +11,21 @@ eigenbasis: ``_InclusionMaps`` finds the Johnson eigenspace parts from the
 maps that add and remove one lifted variable, and their eigenvalues are in
 closed form. Only custom rates build the dense generator (``_fill``, one
 fill for every generator) and call the eigensolver. One ``flow`` serves
-both polynomial types.
+both polynomial types. Every flow is built here (``spectral``,
+``uniform_decomposition``, ``composition_chain``) and picked here:
+``_resolve`` is the one rule of ``polarized_flow``, ``escape_time`` and
+``trajectory``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from .poly import SubsetBasis, _binomials, _freeze, exponent_code, exponent_table, subset_basis
+from .poly import HomPoly, MultiAffinePoly, SubsetBasis, _binomials, _freeze, exponent_code, exponent_table, subset_basis
 
 # exp overflow guard for backward flow; doubles top out near exp(709)
 _MAX_EXPONENT = 700.0
@@ -461,3 +465,43 @@ def uniform_decomposition(n: int, d: int) -> SpectralDecomposition:
     """The uniform-rate flow on the (n, d) basis, from its inclusion maps;
     built afresh on every call."""
     return spectral(subset_basis(n, d), uniform_rates(n))
+
+
+@lru_cache(maxsize=32)
+def composition_chain(d: int, kappa: tuple) -> SpectralDecomposition:
+    """The multi-urn Bernoulli-Laplace chain on the compositions
+    alpha <= kappa of d (Diaconis-Shahshahani 1987), which is the lifted
+    uniform flow seen on block-symmetric vectors, for every cap vector:
+    its ``_InclusionMaps`` split a vector into Johnson eigenspace parts
+    with no eigenbasis. The chain is reversible for
+    W = prod_i C(kappa_i, alpha_i), and its weights are sqrt(W). At
+    kappa = 1^n it is ``uniform_decomposition(n, d)``."""
+    if sum(kappa) < 2:
+        raise ValueError(f"need at least two lifted variables, got {sum(kappa)}")
+    return _uniform(d, kappa)
+
+
+def _on_plan(f, plan):
+    """f with the caps of a ``polarization.PolarizationPlan``."""
+    if plan.n != f.n or plan.d != f.d:
+        raise ValueError(f"plan {plan!r} does not match polynomial {f!r}")
+    return f if f.kappa == plan.kappa else HomPoly(plan.n, plan.d, plan.kappa, f.terms)
+
+
+def _resolve(f, dec: SpectralDecomposition | None, plan=None):
+    """f and the decomposition it flows on. A multiaffine f handed a
+    ``dec`` and no plan flows on ``dec``. Any other f takes the plan's
+    caps, if any, and flows on the composition chain of its (d, kappa);
+    a ``dec`` handed with it is checked to be the uniform flow on the
+    lifted basis and is not used."""
+    if dec is not None and plan is None and isinstance(f, MultiAffinePoly):
+        return f, dec
+    if plan is not None:
+        f = _on_plan(f, plan)
+    if dec is not None:
+        lifted = subset_basis(sum(f.kappa), f.d)
+        if dec.basis != lifted:
+            raise ValueError(f"decomposition lives on {dec.basis!r}, plan expects {lifted!r}")
+        if not dec.rates.uniform:
+            raise ValueError("capped flows use uniform rates on the lifted variables")
+    return f, composition_chain(f.d, f.kappa)

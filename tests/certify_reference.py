@@ -31,6 +31,7 @@ from lorentzflow.certify import (
     Verdict,
     VerdictStatus,
     _root_classes,
+    _trim_rows,
 )
 from lorentzflow.poly import HomPoly, MultiAffinePoly
 from strata_wrappers import BasisFamily, ExchangeResult
@@ -59,9 +60,12 @@ _ROOT_CLASSES = (RootClass.ALL_REAL_DISTINCT, RootClass.ALL_REAL_WITH_TIES, Root
 
 def real_rooted(coeffs, tol: float = DEFAULT_TOL) -> RootResult:
     """Classify a univariate polynomial's roots through the power-sum
-    Hankel matrix, with the tolerance scaled by its trace."""
-    codes, dropped = _root_classes(np.asarray(coeffs, dtype=float).reshape(1, -1), tol)
-    return RootResult(_ROOT_CLASSES[codes[0]], bool(dropped[0]))
+    Hankel matrix, with the tolerance scaled by its trace. A nonzero
+    coefficient past the degree that ``_trim_rows`` keeps is a degree
+    drop."""
+    row = np.asarray(coeffs, dtype=float).reshape(1, -1)
+    deg = _trim_rows(row)[0]
+    return RootResult(_ROOT_CLASSES[_root_classes(row, tol)[0]], bool(np.any(row[0, deg + 1 :] != 0)))
 
 
 def compositions(total: int, parts: int, caps=None):

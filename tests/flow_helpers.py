@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lorentzflow.ballmap import CENTER_EPS, MembershipOracle, _decomposition, escape_time
+from lorentzflow.ballmap import CENTER_EPS, MembershipOracle, escape_time
 from lorentzflow.poly import HomPoly, MultiAffinePoly, exponent_table, subset_basis
 from lorentzflow.polarization import (
     PolarizationPlan,
@@ -34,6 +34,7 @@ from lorentzflow.sep import (
     _dense,
     _eigh,
     _fill,
+    _resolve,
     centered_norm,
     flow,
     uniform_rates,
@@ -346,7 +347,7 @@ def ball_coordinates(
     """Candidate ball coordinate of a member: zero at the fixed point,
     exp(-sigma) times the anchor direction elsewhere; unit norm exactly on
     the boundary."""
-    g, flow_dec = _decomposition(f, dec, plan)
+    g, flow_dec = _resolve(f, dec, plan)
     if centered_norm(g, flow_dec) < CENTER_EPS:
         return np.zeros(flow_dec.size - 1)
     result = escape_time(f, oracle, dec, s_max=s_max, tol=tol, plan=plan)

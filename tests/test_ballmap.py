@@ -1,5 +1,6 @@
 """Tests for the contractive-flow checks and escape-time ball coordinates."""
 
+import ast
 import json
 import math
 import os
@@ -11,10 +12,13 @@ import numpy as np
 import pytest
 
 from lorentzflow.ballmap import (
+    EscapeNotBracketed,
     InfiniteEscape,
+    MembershipOracle,
     capped_lorentzian_oracle,
     escape_time,
     multiaffine_lorentzian_oracle,
+    stable_oracle,
     trajectory,
 )
 from lorentzflow.certify import VerdictStatus, certify_multiaffine
@@ -30,6 +34,13 @@ from mixtures import random_member_mixture
 @pytest.fixture(scope="module")
 def simplex31():
     return uniform_decomposition(3, 1), subset_basis(3, 1), multiaffine_lorentzian_oracle()
+
+
+@pytest.fixture(scope="module")
+def s52():
+    """A (5,2) member with sigma about 0.3, the input of ``BISECT``."""
+    return flow(random_disjoint_form_product(subset_basis(5, 2), np.random.default_rng(1)), 0.3,
+                uniform_decomposition(5, 2))
 
 
 # escape_time at each bisection width, counting oracle calls; a width
@@ -72,6 +83,28 @@ class TestEscapeTime:
         assert sigma == pytest.approx(0.3000000159, abs=1e-9)
         for got, _ in ended[1:]:
             assert abs(got - sigma) <= 1e-12
+
+    def test_s_max_is_positive(self, s52):
+        # refused before any oracle call; -1 once bracketed nothing after
+        # two calls, and NaN never capped the doubling
+        f, lorentzian, calls = s52, multiaffine_lorentzian_oracle(), []
+        oracle = MembershipOracle("counted", lambda g: calls.append(1) or lorentzian.certify(g), lorentzian.tol)
+        for s_max in (0.0, -1.0, -math.inf, float("nan")):
+            with pytest.raises(ValueError, match="s_max must be positive"):
+                escape_time(f, oracle, s_max=s_max)
+        assert calls == []
+
+    def test_no_exit_before_s_max(self, s52):
+        # sigma is about 0.3: the first doubling, to 2e-3, passes s_max
+        assert escape_time(s52, multiaffine_lorentzian_oracle()).sigma > 2e-3
+        with pytest.raises(EscapeNotBracketed, match="still a member after backward time 0.001"):
+            escape_time(s52, multiaffine_lorentzian_oracle(), s_max=1e-3)
+
+    @pytest.mark.parametrize("tol", [float("nan"), math.inf, -0.5])
+    def test_oracles_refuse_a_tolerance_outside_0_inf(self, tol):
+        for make in (multiaffine_lorentzian_oracle, capped_lorentzian_oracle, lambda t: stable_oracle(tol=t)):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                make(tol)
 
     def test_simplex_example(self, simplex31):
         dec, basis, oracle = simplex31
@@ -315,3 +348,12 @@ class TestContractiveFlowCheck:
         assert not report.contraction_violations
         # spectral continuity bound: the flow never expands distances
         assert report.lipschitz_max_ratio <= 1.0 + 1e-12
+
+
+def test_ballmap_imports_no_lift_module():
+    # flows are built and picked in sep; the ball map reads no lift
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "src" / "lorentzflow" / "ballmap.py").read_text())
+    relative = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level}
+    assert relative <= {"certify", "poly", "sep"}
+    assert not any(isinstance(node, ast.Import) and any("lorentzflow" in a.name for a in node.names)
+                   for node in ast.walk(tree))

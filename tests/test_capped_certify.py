@@ -164,9 +164,9 @@ class TestAgainstLift:
                 assert np.max(np.abs(row - want)) <= 1e-12 * scale
 
     def test_same_verdicts_without_the_strict_proof(self, corpus, monkeypatch):
-        fast = [certify_hom(f, tol) for f in corpus for tol in (C.DEFAULT_TOL, 0.0, -1e-4)]
+        fast = [certify_hom(f, tol) for f in corpus for tol in (C.DEFAULT_TOL, 0.0)]
         monkeypatch.setattr(C, "_proved_strict", lambda Q, rest, tol: False)
-        assert fast == [certify_hom(f, tol) for f in corpus for tol in (C.DEFAULT_TOL, 0.0, -1e-4)]
+        assert fast == [certify_hom(f, tol) for f in corpus for tol in (C.DEFAULT_TOL, 0.0)]
 
 
 class TestOneEngine:

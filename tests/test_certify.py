@@ -31,14 +31,14 @@ from lorentzflow.poly import (
     subset_basis,
 )
 from lorentzflow.polarization import stable_center
-from lorentzflow.samples import random_form_product
+from lorentzflow.samples import random_disjoint_form_product, random_form_product
 
 
 def hermite_matrix(coeffs):
     """Hankel matrix of root power sums of one polynomial, trimmed of
     degenerate leading coefficients, through the stacked kernel."""
     c = np.asarray(coeffs, dtype=float).reshape(1, -1)
-    deg, _ = _trim_rows(c)
+    deg = _trim_rows(c)
     return _hankel(c[:, : deg[0] + 1])[0]
 
 
@@ -163,15 +163,15 @@ class TestStrictProof:
         for tol in (-1e-4, float("nan")):
             assert not _proved_strict(Q[None], np.empty((1, 0)), tol)
         # c01 = c23 = 2y + delta, every other pair y: the Hessian has a
-        # second positive eigenvalue of about delta, inside the cut at -1e-4
+        # second positive eigenvalue of about delta, inside the cut at
+        # -1e-4, which the certificate refuses before any work
         delta = 1e-5
         y = (1 - 2 * delta) / 8
         basis = subset_basis(4, 2)
         coeffs = np.full(basis.size, y)
         coeffs[[basis.rank((0, 1)), basis.rank((2, 3))]] = 2 * y + delta
-        v = certify_multiaffine(MultiAffinePoly(basis, coeffs), tol=-1e-4)
-        assert v.status is VerdictStatus.REJECTED
-        assert v.witness["kind"] == "hessian_signature"
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            certify_multiaffine(MultiAffinePoly(basis, coeffs), tol=-1e-4)
 
     def test_accepted_rows_are_strict(self):
         # lambda_2 on both sides of the cutoff, up to rounding distance
@@ -503,3 +503,67 @@ def test_certify_imports_no_flow_module():
     tree = ast.parse((Path(__file__).resolve().parents[1] / "src" / "lorentzflow" / "certify.py").read_text())
     relative = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level}
     assert relative == {"poly", "strata"}
+
+
+class TestRefusedTolerance:
+    """Every certificate refuses a tolerance outside [0, inf), NaN
+    included, before any work."""
+
+    @pytest.mark.parametrize("tol", [float("nan"), math.inf, -0.5, -1e-4])
+    def test_refused_before_the_normalization_check(self, tol):
+        for f in (normalize_at_ones(elementary_symmetric(4, 2)), elementary_symmetric(4, 2)):
+            for certify in (certify_multiaffine, lambda g, t: certify_hom(g.to_hom(), t),
+                            lambda g, t: certify_stable(g, tol=t)):
+                with pytest.raises(ValueError, match="finite and nonnegative"):
+                    certify(f, tol)
+
+
+def test_empty_support():
+    # every coefficient of normalized e_2(4) is 1/6, within tol = 0.5, and
+    # no Hessian fails at that cut
+    f = normalize_at_ones(elementary_symmetric(4, 2))
+    for verdict in (certify_multiaffine(f, 0.5), certify_hom(f.to_hom(), 0.5)):
+        assert verdict.status is VerdictStatus.REJECTED
+        assert verdict.witness == {"kind": "empty_support"}
+
+
+class TestCheckedEigh:
+    """The certificate checks what the eigensolver returns. A boundary
+    input, whose block ``_proved_strict`` declines, reaches it."""
+
+    @pytest.fixture()
+    def boundary(self):
+        f = random_disjoint_form_product(subset_basis(6, 3), np.random.default_rng(0))
+        assert certify_multiaffine(f).status is VerdictStatus.BOUNDARY_WITHIN_TOL
+        return f
+
+    @staticmethod
+    def _patch(monkeypatch, change):
+        eigh = np.linalg.eigh
+
+        def changed(H):
+            w, V = eigh(H)
+            return change(w.copy(), V.copy())
+
+        monkeypatch.setattr(np.linalg, "eigh", changed)
+
+    def test_bent_eigenvector(self, boundary, monkeypatch):
+        # twice the first eigenvector with a quarter of its eigenvalue: the
+        # same matrix, bit for bit, from vectors that are not orthonormal
+        def bend(w, V):
+            V[..., 0] *= 2.0
+            w[..., 0] /= 4.0
+            return w, V
+
+        self._patch(monkeypatch, bend)
+        with pytest.raises(RuntimeError, match="orthonormality"):
+            certify_multiaffine(boundary)
+
+    def test_shifted_eigenvalue(self, boundary, monkeypatch):
+        def shift(w, V):
+            w[..., -1] += 1.0
+            return w, V
+
+        self._patch(monkeypatch, shift)
+        with pytest.raises(RuntimeError, match="reconstruction"):
+            certify_multiaffine(boundary)

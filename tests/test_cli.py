@@ -414,6 +414,54 @@ class TestBallmapCommand:
             assert "tol must be positive" in proc.stderr
 
 
+    @pytest.fixture()
+    def s52_file(self, tmp_path):
+        path = tmp_path / "s52.json"
+        pio.save_poly(sep.flow(random_disjoint_form_product(subset_basis(5, 2), np.random.default_rng(1)), 0.3,
+                               sep.uniform_decomposition(5, 2)), path)
+        return path
+
+    def test_s_max_must_be_positive(self, s52_file, capsys):
+        for s_max in ("-1", "0", "nan"):
+            assert cli.main(["ballmap", "--input", str(s52_file), f"--s-max={s_max}"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "", s_max
+            assert "s_max must be positive" in captured.err
+
+    def test_no_exit_before_s_max_is_reported(self, s52_file, capsys):
+        assert cli.main(["ballmap", "--input", str(s52_file), "--s-max", "0.001"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "not_bracketed": True, "space": "multiaffine-lorentzian",
+            "detail": "still a member after backward time 0.001"}
+
+
+class TestRefusedTolerance:
+    """A tolerance outside [0, inf), NaN included, exits 1 with nothing on
+    stdout: at the fixed point e_2(3) too, where ``ballmap`` calls no
+    certificate, and on x0^2 + x1^2, which ``--tol nan`` once certified."""
+
+    @pytest.mark.parametrize("argv", [
+        ["certify"],
+        ["certify", "--mode", "stable"],
+        ["flow", "--times", "0,0.5"],
+        ["flow", "--polarized", "--times", "0,0.5"],
+        ["ballmap"],
+        ["ballmap", "--space", "stable"],
+    ])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-0.5"])
+    def test_exits_one(self, e23_file, capsys, argv, tol):
+        assert cli.main(argv + ["--input", str(e23_file), f"--tol={tol}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite and nonnegative" in captured.err
+
+    def test_stable_rejection_is_not_hidden(self, sum_of_squares_file, capsys):
+        assert cli.main(["certify", "--mode", "stable", "--input", str(sum_of_squares_file), "--tol", "nan"]) == 1
+        assert capsys.readouterr().out == ""
+        assert cli.main(["certify", "--mode", "stable", "--input", str(sum_of_squares_file)]) == 2
+        assert json.loads(capsys.readouterr().out)["witness"]["kind"] == "direction"
+
+
 class TestPeriodicCappedInput:
     """kappa = (1, 1), d = 1 is the periodic swap on the composition chain:
     the capped commands exit 1 and say so."""

@@ -10,10 +10,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lorentzflow import cli, polarization, sep
+from lorentzflow import cli, sep
 from lorentzflow.ballmap import MembershipOracle, escape_time
 from lorentzflow.poly import HomPoly, MultiAffinePoly, exponent_table, subset_basis
-from lorentzflow.polarization import composition_chain, polarized_flow
+from lorentzflow.polarization import polarized_flow
 from lorentzflow.samples import random_form_product
 from lorentzflow.sep import (
     PeriodicFlowError,
@@ -23,6 +23,7 @@ from lorentzflow.sep import (
     _dense,
     _fill,
     build_generator,
+    composition_chain,
     eigen_coords,
     flow,
     spectral,
@@ -196,7 +197,7 @@ class TestNoEigensolver:
             return eigh(A, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
-        polarization.composition_chain.cache_clear()
+        composition_chain.cache_clear()
         rng = np.random.default_rng(33)
         basis = subset_basis(12, 6)
         flow(MultiAffinePoly(basis, rng.random(basis.size)), 0.3, uniform_decomposition(12, 6))

@@ -17,10 +17,9 @@ from lorentzflow.poly import (
 )
 from lorentzflow import ballmap, cli, polarization, sep
 from lorentzflow import io as pio
-from lorentzflow.ballmap import capped_lorentzian_oracle, escape_time
+from lorentzflow.ballmap import capped_lorentzian_oracle, escape_time, trajectory
 from lorentzflow.polarization import (
     PolarizationPlan,
-    composition_chain,
     lifted_decomposition,
     polarize_up,
     polarized_flow,
@@ -34,6 +33,7 @@ from lorentzflow.sep import (
     TranspositionRates,
     _centered,
     centered_norm,
+    composition_chain,
     flow,
     spectral,
     uniform_decomposition,
@@ -383,6 +383,21 @@ class TestCompositionChain:
         for bad in (skewed, lifted_decomposition(5, 2)):
             with pytest.raises(ValueError):
                 escape_time(f, oracle, bad)
+
+    def test_multiaffine_flows_on_its_own_decomposition(self):
+        # with no plan, a multiaffine f flows on the dec it is handed, as in
+        # escape_time and trajectory; with a plan it flows on its chain, and
+        # the dec is only checked
+        basis = subset_basis(4, 2)
+        f = random_disjoint_form_product(basis, np.random.default_rng(30))
+        custom = spectral(basis, TranspositionRates(4, {(0, 1): 0.5, (1, 2): 0.25, (2, 3): 0.25}))
+        assert np.array_equal(polarized_flow(f, 0.5, dec=custom).coeffs, flow(f, 0.5, custom).coeffs)
+        assert np.array_equal(trajectory(f, custom, [0.5])[0].poly.coeffs, flow(f, 0.5, custom).coeffs)
+        plan = PolarizationPlan(4, 2, (1,) * 4)
+        with pytest.raises(ValueError, match="uniform rates"):
+            polarized_flow(f, 0.5, plan, custom)
+        uniform = polarized_flow(f, 0.5, plan, uniform_decomposition(4, 2))
+        assert np.array_equal(uniform.coeffs, flow(f, 0.5, composition_chain(2, (1,) * 4)).coeffs)
 
     def test_overflow_guard_on_the_chain_spectrum(self):
         f = random_form_product(3, 3, np.random.default_rng(26))

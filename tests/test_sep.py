@@ -19,6 +19,7 @@ from lorentzflow.sep import (
     _fill,
     build_generator,
     centered_norm,
+    composition_chain,
     eigen_coords,
     flow,
     spectral,
@@ -127,6 +128,13 @@ class TestSpectral:
         dec = uniform_decomposition(3, 1)
         assert np.allclose(dec.eigenvalues, [1.0, 0.0, 0.0], atol=1e-12)
 
+    def test_spectral_gap(self):
+        # the Johnson label 1 sits at 1 - n / C(n, 2) = 1 - 2 / (n - 1)
+        for n, d in [(3, 1), (5, 2), (8, 4), (9, 7)]:
+            assert uniform_decomposition(n, d).spectral_gap == pytest.approx(2 / (n - 1), rel=1e-14)
+        for dec in (uniform_decomposition(3, 3), composition_chain(1, (2,))):
+            assert dec.size == 1 and dec.spectral_gap == 0.0
+
     def test_equilibrium_vector_is_uniform(self):
         for n, d in [(3, 1), (4, 2), (5, 2)]:
             dec = uniform_decomposition(n, d)
@@ -217,10 +225,10 @@ class TestJohnsonClosedForm:
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
         polarization.lifted_decomposition.cache_clear()
-        polarization.composition_chain.cache_clear()
+        composition_chain.cache_clear()
         uniform_decomposition(12, 6)
         polarization.lifted_decomposition(16, 4)
-        polarization.composition_chain(6, (1,) * 12)
+        composition_chain(6, (1,) * 12)
         assert shapes == []
         spectral(subset_basis(6, 3), _seeded_rates(6, 30))
         assert shapes == [(20, 20)]
@@ -252,11 +260,11 @@ class TestChainMassCheck:
         q = 1.0 / math.comb(sum(self.KAPPA), 2)
         pairs = itertools.combinations_with_replacement(range(len(self.KAPPA)), 2)
         fill = _fill(self.D, self.KAPPA, [(pair, q) for pair in pairs])
-        mass = polarization.composition_chain(self.D, self.KAPPA).weights
+        mass = composition_chain(self.D, self.KAPPA).weights
         return fill, mass, _eigh(_dense(fill))
 
     def test_the_basis_builds(self, dense):
-        dec = polarization.composition_chain(self.D, self.KAPPA)
+        dec = composition_chain(self.D, self.KAPPA)
         V = dec.vectors
         assert V.shape == (969, 969)
         assert np.array_equal(V[:, 0], dec.weights / np.linalg.norm(dec.weights))
