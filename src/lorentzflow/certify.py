@@ -18,21 +18,24 @@ constant on the blocks: each one's spectrum is that of a block-quotient
 matrix of size at most n plus known repeated eigenvalues, and at
 kappa = 1^n the quotient is the multiaffine Hessian itself. One cached
 table per (d, kappa) says where every quotient matrix sits in the
-coefficient vector, laid out and lifted by ``poly``. The engine walks
-it in blocks and stops at the first block that holds a failure: the
-lift's verdict, with no lift built. A block of strict Hessians is
-proved strict by one shifted Cholesky and no eigenvalue
-(``_proved_strict``); a block it declines, and every block after it,
-goes each matrix size through one stacked ``eigh``, so every verdict and
-witness is that of the eigenvalues.
-``strata.exchange_violation`` runs only where it can fail: a support
-with every coefficient above tol is the uniform matroid, or the full
-capped box, which is M-convex.
+coefficient vector, laid out and lifted by ``poly``. The engine,
+``_hessian_scan``, walks it in blocks for one coefficient vector or a
+stack of them (an escape's trial times), and each row stops at the
+first block that holds a failure of its own: the lift's verdict, with
+no lift built. Each Hessian is proved strict on its own by a shifted
+Cholesky, with one stacked factorization per block and no eigenvalue
+(``_proved_strict``); only the matrices it declines go, each matrix size
+at once, through one stacked ``eigh``, so every verdict and witness is
+that of the eigenvalues. After a block with a declined matrix a row's
+later blocks skip the proof. ``strata.exchange_violation`` runs only
+where it can fail: a support with every coefficient above tol is the
+uniform matroid, or the full capped box, which is M-convex.
 
 The stable certificate restricts f along a block of directions at once
 (``poly.restrict_lines``), runs the Newton power sums over all rows and
 takes the Hankel eigenvalues from one stacked ``eigvalsh``, again
-stopping at the first block that holds a failure. Every witness is the
+stopping at the first block that holds a failure; its stacked
+membership classifies every line of every row at once. Every witness is the
 first failing item in the documented order: for the Lorentzian
 certificates, coefficients in colex order and derivatives in descending
 lexicographic order of their exponent (for multiaffine inputs, subsets in
@@ -48,8 +51,9 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
-from .poly import HomPoly, MultiAffinePoly, _lift_values, exponent_code, exponent_table, restrict_lines
+from .poly import HomPoly, MultiAffinePoly, _binomials, _lift_values, exponent_code, exponent_table, restrict_lines
 from .strata import exchange_violation
 
 DEFAULT_TOL = 1e-9
@@ -109,11 +113,22 @@ def _checked_eigh(H):
     return w, V
 
 
-def _proved_strict(Q, rest, tol: float) -> bool:
-    """Whether every row of a block is proved strict without computing
-    an eigenvalue: Q (B, k, k) symmetric, ``rest`` (B, r) each row's
-    within-block eigenvalues. True means ``_signatures`` calls every row
-    strict, so none fails; False proves nothing.
+def _factored(A) -> np.ndarray:
+    """Per matrix of a stack (B, m, m), whether LAPACK's Cholesky factors
+    it, from one stacked call to the kernel behind ``np.linalg.cholesky``.
+    That function raises for the whole stack when one matrix declines;
+    the kernel fills each declined matrix's factor with NaN and goes on,
+    so every flag is that of the matrix's own factorization."""
+    with np.errstate(invalid="ignore"):
+        return ~np.isnan(_umath_linalg.cholesky_lo(A, signature="d->d")[:, 0, 0])
+
+
+def _proved_strict(Q, rest, tol: float) -> np.ndarray:
+    """Which matrices of a stack are proved strict without computing an
+    eigenvalue: Q (B, k, k) symmetric, ``rest`` (B, r) each row's
+    within-block eigenvalues. A True flag means ``_signatures`` calls
+    that row strict, so it does not fail; False proves nothing. Each flag
+    depends on its own matrix only.
 
     Per row, norm = sqrt(k) ||Q||_F + sum |rest| bounds the trace norm
     from above, so slack = tol max(1, norm) is at least the cut of
@@ -133,32 +148,41 @@ def _proved_strict(Q, rest, tol: float) -> bool:
       T = [1, e_2, ..., e_k] gives T'MT = [[a, s_1'], [s_1, M_22]]. By
       Sylvester's law of inertia M has one positive eigenvalue and
       k - 1 negative ones when the Schur complement M_22 - s_1 s_1' / a
-      is negative definite, which one stacked Cholesky of its negative
-      proves: the second eigenvalue of Q lies below -slack.
+      is negative definite, which a Cholesky of its negative proves: the
+      second eigenvalue of Q lies below -slack.
 
     The guard 1'Q1 >= ||Q||_F, true of every Q with nonnegative entries,
     keeps s_1 s_1' / a, and so the eliminated matrix, of order k norm.
+    The eliminated matrices go through one stacked Cholesky
+    (``_factored``), which reports every matrix it declines.
     """
     if not tol >= 0:
-        return False
+        return np.zeros(Q.shape[0], dtype=bool)
     k = Q.shape[-1]
-    frob = np.sqrt((Q * Q).sum(axis=(1, 2)))
+    frob = np.sqrt(np.einsum("bij,bij->b", Q, Q))
     norm = np.sqrt(k) * frob + np.abs(rest).sum(axis=1)
     slack = tol * np.maximum(1.0, norm) + k**4 * _EPS * norm
-    total = Q.sum(axis=(1, 2))
-    if not ((total > k * slack) & (total >= frob) & (rest < -slack[:, None]).all(axis=1)).all():
-        return False
-    if k == 1:  # no second eigenvalue
-        return True
-    s = Q.sum(axis=1) + slack[:, None]
-    a = s.sum(axis=1)
-    neg = s[:, 1:, None] * (s[:, None, 1:] / a[:, None, None]) - Q[:, 1:, 1:]
-    neg[:, np.arange(k - 1), np.arange(k - 1)] -= slack[:, None]
-    try:
-        np.linalg.cholesky(neg)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    sums = Q.sum(axis=2)  # Q 1, as Q is symmetric
+    total = sums.sum(axis=1)
+    proved = (total > k * slack) & (total >= frob) & (rest < -slack[:, None]).all(axis=1)
+    every = bool(proved.all())
+    if k == 1 or not (every or proved.any()):  # no second eigenvalue, or nothing left to prove
+        return proved
+    at = slice(None) if every else np.flatnonzero(proved)
+    slack, s = slack[at], sums[at] + slack[at, None]
+    u = s[:, 1:] / s.sum(axis=1)[:, None]
+    if not every:
+        # a nonpositive pivot stops any Cholesky: the diagonal of neg below
+        pivots = (s[:, 1:] * u - np.diagonal(Q, axis1=1, axis2=2)[at, 1:] - slack[:, None] > 0).all(axis=1)
+        at, slack, s, u = at[pivots], slack[pivots], s[pivots], u[pivots]
+        proved[:] = False
+        if not at.size:
+            return proved
+    neg = s[:, 1:, None] * u[:, None, :]
+    neg -= Q[at, 1:, 1:]
+    neg.reshape(len(neg), -1)[:, ::k] -= slack[:, None]  # the diagonal
+    proved[at] = _factored(neg)
+    return proved
 
 
 def _signatures(w, tol: float):
@@ -260,20 +284,107 @@ def _table(d: int, kappa: tuple) -> _Table:
     return table
 
 
+def _hessians(rows: np.ndarray, table: _Table, block: slice) -> np.ndarray:
+    """The block of Q_beta of every row of coefficients, row by row, each
+    as the trailing block of a width x width matrix. The gathered values
+    die on return, before the proof's working set of a whole stack."""
+    vals = rows[:, table.index[block]]
+    if table.scale is not None:
+        vals *= table.scale[block]
+    vals = vals.reshape(len(rows) * vals.shape[1], -1)
+    iu, ju = table.upper
+    H = np.zeros((len(vals), table.width, table.width))
+    H[:, iu, ju] = vals
+    H[:, ju, iu] = vals
+    return H
+
+
+def _hessian_scan(G: np.ndarray, table: _Table, tol: float):
+    """The Hessian scan of rows of coefficients G (R, len) in table order,
+    each with the trailing zero where the table reads it. Per row: the
+    index of its first failing Hessian in row order, or -1; whether every
+    Hessian it scanned is strict; and the failing Hessian's lifted
+    spectrum, descending, or None.
+
+    The Hessians go in row order and block by block, one block of every
+    row in one stack, and a row leaves the scan after the first block
+    that holds a failure of its own: each row meets the blocks it would
+    meet alone. ``_proved_strict`` proves single matrices strict with no
+    eigenvalue; the rest go, each matrix size at once, through
+    ``_checked_eigh``, so every flag and witness is that of the
+    eigenvalues. A row with a declined matrix is near the boundary, where
+    the proof seldom holds, so its later blocks skip it.
+    """
+    width = table.width
+    step = max(1, _HESSIAN_BLOCK_ENTRIES // max(1, width * width))
+    first, strict, spectra = [-1] * len(G), [True] * len(G), [None] * len(G)
+    scan = list(range(len(G)))  # the rows with no failure yet
+    attempt = [True] * len(G)  # the rows with no unproved Hessian yet
+    for lo in range(0, table.index.shape[0], step):
+        if not scan:
+            break
+        block = slice(lo, lo + step)
+        rows = G if len(scan) == len(G) else G[scan]
+        H = _hessians(rows, table, block)
+        count = len(H) // len(scan)  # Hessians per row in this block
+        # rows of lifted spectra: eig(Q_beta), then the within-block part;
+        # with no within-block part every Q_beta is width x width
+        w = np.empty((len(H), width)) if table.rest is None else -rows[:, table.rest[block]].reshape(len(H), -1)
+        sizes = None if table.size is None else np.tile(table.size[block], len(scan))
+        # matrices by size of Q_beta, the trailing k x k block
+        groups = [(slice(None), width)] if sizes is None else [(sizes == k, k) for k in sorted(set(sizes.tolist()))]
+        # after a block with an unproved Hessian a row goes straight to the eigensolve
+        tried = [attempt[row] for row in scan]
+        solved = None
+        for at, k in groups:
+            Q = H[at, width - k :, width - k :]
+            proved = False
+            if any(tried):
+                proved = _proved_strict(Q, w[at, k:], tol)
+                if not all(tried):
+                    proved = proved & np.repeat(tried, count)[at]
+            if np.all(proved):
+                continue
+            unproved = ~np.broadcast_to(proved, Q.shape[:1])
+            every = unproved.all()
+            todo = at if every else np.flatnonzero(unproved) if sizes is None else np.flatnonzero(at)[unproved]
+            w[todo, :k] = _checked_eigh(Q if every else Q[unproved])[0]
+            solved = np.zeros(len(H), dtype=bool) if solved is None else solved
+            solved[todo] = True
+        if solved is None:
+            continue
+        if solved.all():
+            if table.rest is not None:
+                w.sort(axis=1)
+            fail, exact = _signatures(w, tol)
+        else:
+            if table.rest is not None:
+                w[solved] = np.sort(w[solved], axis=1)
+            fail, exact = np.zeros_like(solved), np.ones_like(solved)
+            fail[solved], exact[solved] = _signatures(w[solved], tol)
+        solved, fail, exact = (x.reshape(len(scan), count) for x in (solved, fail, exact))
+        outcomes = zip(scan, fail.any(axis=1).tolist(), exact.all(axis=1).tolist(), solved.any(axis=1).tolist())
+        for i, (row, hit, settled, touched) in enumerate(outcomes):
+            strict[row] = strict[row] and settled
+            attempt[row] = attempt[row] and not touched
+            if hit:
+                r = int(np.argmax(fail[i]))
+                first[row], spectra[row] = lo + r, w[i * count + r, ::-1].tolist()
+        scan = [row for row in scan if first[row] < 0]
+    return first, strict, spectra
+
+
 def _lorentzian(g: np.ndarray, table: _Table, tol: float, keys, name) -> Verdict:
     """The Lorentzian certificate of coefficients g in table order, with
     the trailing zero where the table reads it. ``keys`` are the witness
     keys of one exponent and of the two members of an exchange
     violation, and ``name`` turns an exponent into its witness value.
 
-    The Hessians go in row order and block by block. A block that
-    ``_proved_strict`` proves strict, every matrix size in it at once,
-    needs no eigenvalue; any other goes each matrix size through one
-    stacked eigensolve, and so does every block after it. The first
-    block that holds a failure ends the scan. When every coefficient
-    clears tol the support is the whole family: the uniform matroid, or
-    the full capped box, which is M-convex. Only a support with some
-    coefficient within tol goes through ``exchange_violation``.
+    The Hessians are the one-row case of ``_hessian_scan``, which ends at
+    the first block that holds a failure. When every coefficient clears
+    tol the support is the whole family: the uniform matroid, or the full
+    capped box, which is M-convex. Only a support with some coefficient
+    within tol goes through ``exchange_violation``.
     """
     coeffs = g[: len(table.digits)]
     worst = int(np.argmin(coeffs))
@@ -284,42 +395,13 @@ def _lorentzian(g: np.ndarray, table: _Table, tol: float, keys, name) -> Verdict
              "value": float(coeffs[worst])},
             tol,
         )
-    iu, ju = table.upper
-    width = table.width
-    step = max(1, _HESSIAN_BLOCK_ENTRIES // max(1, width * width))
-    all_strict = attempt = True
-    for lo in range(0, table.index.shape[0], step):
-        block = slice(lo, lo + step)
-        vals = g[table.index[block]]
-        if table.scale is not None:
-            vals *= table.scale[block]
-        H = np.zeros((vals.shape[0], width, width))
-        H[:, iu, ju] = vals
-        H[:, ju, iu] = vals
-        # rows of lifted spectra: eig(Q_beta), then the within-block part;
-        # with no within-block part every Q_beta is width x width
-        w = np.empty((vals.shape[0], width)) if table.rest is None else -g[table.rest[block]]
-        sizes = None if table.size is None else table.size[block]
-        # rows by size of Q_beta, the trailing k x k block
-        groups = [(slice(None), width)] if sizes is None else [(sizes == k, k) for k in sorted(set(sizes.tolist()))]
-        # after one declined block the scan goes straight to the eigensolve
-        if attempt and all(_proved_strict(H[rows, width - k :, width - k :], w[rows, k:], tol) for rows, k in groups):
-            continue
-        attempt = False
-        for rows, k in groups:
-            w[rows, :k] = _checked_eigh(H[rows, width - k :, width - k :])[0]
-        if table.rest is not None:
-            w.sort(axis=1)
-        fail, strict = _signatures(w, tol)
-        if fail.any():
-            r = int(np.argmax(fail))
-            return Verdict(
-                VerdictStatus.REJECTED,
-                {"kind": "hessian_signature", keys[0]: name(table.betas[lo + r].tolist()),
-                 "eigenvalues": w[r, ::-1].tolist()},
-                tol,
-            )
-        all_strict = all_strict and bool(strict.all())
+    (first,), (all_strict,), (spectrum,) = _hessian_scan(g[None], table, tol)
+    if first >= 0:
+        return Verdict(
+            VerdictStatus.REJECTED,
+            {"kind": "hessian_signature", keys[0]: name(table.betas[first].tolist()), "eigenvalues": spectrum},
+            tol,
+        )
     live = coeffs > tol
     if live.all():
         status = VerdictStatus.STRICT_INTERIOR if all_strict else VerdictStatus.BOUNDARY_WITHIN_TOL
@@ -334,6 +416,33 @@ def _lorentzian(g: np.ndarray, table: _Table, tol: float, keys, name) -> Verdict
     return Verdict(VerdictStatus.REJECTED, witness, tol)
 
 
+def _lorentzian_members(f, rows: np.ndarray, tol: float) -> list:
+    """Per row of coefficients (R, N) in f's layout: whether the
+    polynomial on it is a member by ``certify_hom``, which for a
+    multiaffine f is ``certify_multiaffine``'s membership, with every
+    row's Hessians in one ``_hessian_scan``. A row that certificate
+    refuses gets the ValueError it raises, and a row that only the
+    exchange check can settle gets a function of no arguments that runs
+    the check, so it costs nothing until it is read."""
+    refusals = _refusals(rows, tol)
+    table = _table(f.d, f.kappa)
+    G = np.zeros((rows.shape[0], rows.shape[1] + 1))
+    G[:, :-1] = rows
+    if max(f.kappa) > 1:  # the lift's values, divided as ``_lift_values`` divides them
+        for binomials in _binomials(f.d, f.kappa):
+            G[:, :-1] /= binomials
+    coeffs = G[:, : len(table.digits)]
+    member = ~(coeffs < -tol).any(axis=1) & np.array([refusal is None for refusal in refusals])
+    scan = np.flatnonzero(member)
+    member[scan[np.array(_hessian_scan(G[scan], table, tol)[0]) >= 0]] = False
+    out = [refusal or flag for refusal, flag in zip(refusals, member.tolist())]
+    live = coeffs > tol
+    for r in np.flatnonzero(member & ~live.all(axis=1)).tolist():
+        support = table.digits[live[r]]
+        out[r] = support.size > 0 and (lambda support=support: exchange_violation(support) is None)
+    return out
+
+
 def _check_tol(tol: float) -> None:
     """Refuse a tolerance outside [0, inf), NaN included."""
     if not 0.0 <= tol < np.inf:
@@ -341,9 +450,18 @@ def _check_tol(tol: float) -> None:
 
 
 def _check_input(f, tol: float) -> None:
+    (refusal,) = _refusals(f.coeffs[None], tol)
+    if refusal is not None:
+        raise refusal
+
+
+def _refusals(rows: np.ndarray, tol: float) -> list:
+    """Per row of coefficients: the ValueError that ``_check_input``
+    raises on the polynomial on it, or None."""
     _check_tol(tol)
-    if abs(f.value_at_ones() - 1.0) > 1e-9:
-        raise ValueError(f"polynomial is not normalized: value at the all-ones point is {f.value_at_ones()}")
+    values = [float(row.sum()) for row in rows]
+    return [None if abs(value - 1.0) <= 1e-9 else
+            ValueError(f"polynomial is not normalized: value at the all-ones point is {value}") for value in values]
 
 
 def certify_multiaffine(f: MultiAffinePoly, tol: float = DEFAULT_TOL) -> Verdict:
@@ -527,3 +645,24 @@ def certify_stable(
     if strict_coeffs and not ties_seen:
         return Verdict(VerdictStatus.STRICT_INTERIOR, None, tol)
     return Verdict(VerdictStatus.BOUNDARY_WITHIN_TOL, None, tol)
+
+
+def _stable_members(f, rows: np.ndarray, directions: int, seed: int, tol: float) -> list:
+    """Per row of coefficients (R, N) in f's layout: whether the
+    polynomial on it is a member by ``certify_stable``, or the ValueError
+    that certificate refuses it with. Each row is restricted along the
+    same blocks of directions, and every line of every row is classified
+    by one ``_root_classes``, which raises ValueError on a degenerate
+    line: so does this, even past a row's first complex line, where the
+    row's own certificate stops."""
+    refusals = _refusals(rows, tol)
+    member = ~(rows < -tol).any(axis=1) & np.array([refusal is None for refusal in refusals])
+    if f.n >= 2 and f.d >= 2:
+        samples = sample_sphere_sumzero(f.n, directions, seed)
+        scan = np.flatnonzero(member)
+        lines = [restrict_lines(f._like(rows[r]), samples[lo : lo + _DIRECTION_BLOCK])
+                 for r in scan.tolist() for lo in range(0, directions, _DIRECTION_BLOCK)]
+        if lines:
+            codes = _root_classes(np.concatenate(lines), tol).reshape(scan.size, directions)
+            member[scan] = ~(codes == _COMPLEX).any(axis=1)
+    return [refusal or flag for refusal, flag in zip(refusals, member.tolist())]

@@ -79,11 +79,12 @@ def _announce_seed(seed: int) -> None:
 
 def _oracle(args, f, stable: bool) -> bm.MembershipOracle:
     """The one certificate of the space asked for: the sampled stable
-    certificate, whose seed goes to stderr, or else the Lorentzian
-    certificate of f's type."""
+    certificate, whose seed goes to stderr once the oracle has accepted
+    its options, or else the Lorentzian certificate of f's type."""
     if stable:
+        oracle = bm.stable_oracle(args.directions, args.seed, args.tol)
         _announce_seed(args.seed)
-        return bm.stable_oracle(args.directions, args.seed, args.tol)
+        return oracle
     if isinstance(f, MultiAffinePoly):
         return bm.multiaffine_lorentzian_oracle(args.tol)
     return bm.capped_lorentzian_oracle(args.tol)

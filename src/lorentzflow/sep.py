@@ -407,24 +407,29 @@ def _decay_factors(s: float, lam: np.ndarray) -> np.ndarray:
 
 
 def _flow_at(f, dec: SpectralDecomposition):
-    """The function s -> flow(f, s, dec). f is split into its eigenspace
-    parts once; each time is then a weighted sum of them."""
+    """The function from a list of times to the coefficient rows of
+    flow(f, s, dec), one row per time. f is split into its eigenspace
+    parts once; each row is then a weighted sum of them, computed on its
+    own, bit for bit the row of ``flow`` at that time: one stacked
+    product over all the times would round differently."""
     _check_compatible(f, dec)
     maps = dec._maps
     if maps is None:
         V, w = dec.vectors, dec.weights
         x = V.T @ (f.coeffs / w)
-        return lambda s: f._like(w * (V @ (_decay_factors(s, dec.eigenvalues) * x)))
-    mass, parts = maps.parts(f.coeffs)
-    lam = maps.eigenvalues[np.append(0, maps.live)]  # label 0, the mass, keeps the guard on the bottom one
-    return lambda s: f._like(maps.binomials * (mass + parts @ _decay_factors(s, lam)[1:]))
+        row = lambda s: w * (V @ (_decay_factors(s, dec.eigenvalues) * x))
+    else:
+        mass, parts = maps.parts(f.coeffs)
+        lam = maps.eigenvalues[np.append(0, maps.live)]  # label 0, the mass, keeps the guard on the bottom one
+        row = lambda s: maps.binomials * (mass + parts @ _decay_factors(s, lam)[1:])
+    return lambda times: np.array([row(s) for s in times])
 
 
 def flow(f, s: float, dec: SpectralDecomposition):
     """Apply the flow for time ``s`` (negative s runs it backward) to a
     multiaffine or capped polynomial with the decomposition's (n, d, kappa):
     c' = W (P_0 g + sum_k exp(-s (1 - lambda_k)) P_k g), g = c / W."""
-    return _flow_at(f, dec)(s)
+    return f._like(_flow_at(f, dec)([s])[0])
 
 
 def eigen_coords(f, dec: SpectralDecomposition):

@@ -18,6 +18,7 @@ from certify_reference import (
     restrict_line_reference,
     sample_sphere_reference,
 )
+from lorentzflow import ballmap
 from lorentzflow import certify as C
 from lorentzflow.certify import (
     DEFAULT_DIRECTIONS,
@@ -259,6 +260,58 @@ class TestStrictBlocks:
         fast = run()
         monkeypatch.setattr(C, "_proved_strict", lambda Q, rest, tol: False)
         assert fast == run()
+
+
+class TestStackedMembership:
+    """The oracles' stacked membership, on every shape's corpus inputs
+    stacked in shuffled order, equals ``is_member`` row by row."""
+
+    @staticmethod
+    def stacks(polys, seed):
+        """Per shape: a template polynomial, the rows in shuffled order and
+        each row's polynomial."""
+        shapes = {}
+        for f in polys:
+            shapes.setdefault((type(f), f.n, f.d, f.kappa), []).append(f)
+        rng = np.random.default_rng(seed)
+        for group in shapes.values():
+            group = [group[i] for i in rng.permutation(len(group))] * 2  # a row may come twice
+            yield group[0], np.array([g.coeffs for g in group]), group
+
+    @staticmethod
+    def settled(entries):
+        return [ballmap._read(entry) for entry in entries]
+
+    @pytest.mark.parametrize("tol", [C.DEFAULT_TOL, 0.0])
+    def test_lorentzian(self, corpus, tol):
+        oracles = {MultiAffinePoly: ballmap.multiaffine_lorentzian_oracle(tol),
+                   HomPoly: ballmap.capped_lorentzian_oracle(tol)}
+        for f, rows, polys in self.stacks(corpus.values(), 5):
+            oracle = oracles[type(f)]
+            assert self.settled(oracle.members(f, rows)) == [oracle.is_member(g) for g in polys], f
+            if isinstance(f, MultiAffinePoly):  # the capped oracle at kappa = 1^n
+                capped = oracles[HomPoly]
+                hom = [g.to_hom() for g in polys]
+                assert self.settled(capped.members(hom[0], rows)) == [capped.is_member(g) for g in hom], f
+
+    @pytest.mark.parametrize("tol", [C.DEFAULT_TOL, 0.0])
+    def test_stable(self, corpus, tol):
+        # 32 directions keep the one-row loop short; (12,6) is left out as
+        # in the benchmark
+        oracle = ballmap.stable_oracle(32, DEFAULT_SEED, tol)
+        small = [f for f in corpus.values() if f.n < 12]
+        for f, rows, polys in self.stacks(small, 6):
+            assert self.settled(oracle.members(f, rows)) == [oracle.is_member(g) for g in polys], f
+
+    def test_a_refused_row_holds_its_error(self, corpus):
+        f = corpus["interior_product(8,4)"]
+        rows = np.array([f.coeffs, 2.0 * f.coeffs])
+        for oracle in (ballmap.multiaffine_lorentzian_oracle(), ballmap.stable_oracle(8)):
+            member, refused = oracle.members(f, rows)
+            assert member is True
+            with pytest.raises(ValueError) as caught:
+                oracle.is_member(MultiAffinePoly(f.basis, rows[1]))
+            assert isinstance(refused, ValueError) and str(refused) == str(caught.value)
 
 
 class TestRestrictLines:

@@ -169,6 +169,22 @@ class TestAgainstLift:
         assert fast == [certify_hom(f, tol) for f in corpus for tol in (C.DEFAULT_TOL, 0.0)]
 
 
+class TestStackedMembership:
+    @pytest.mark.parametrize("tol", [C.DEFAULT_TOL, 0.0])
+    def test_equals_one_row_at_a_time(self, corpus, tol):
+        # every (d, kappa) stacks its classes in shuffled order
+        oracle = capped_lorentzian_oracle(tol)
+        shapes = {}
+        for f in corpus:
+            shapes.setdefault((f.d, f.kappa), []).append(f)
+        rng = np.random.default_rng(7)
+        for group in shapes.values():
+            group = [group[i] for i in rng.permutation(len(group))]
+            entries = oracle.members(group[0], np.array([g.coeffs for g in group]))
+            got = [entry() if callable(entry) else entry for entry in entries]
+            assert got == [oracle.is_member(g) for g in group], group[0]
+
+
 class TestOneEngine:
     def test_negative_coefficient_ties_name_the_first_in_colex_order(self):
         # two equal smallest coefficients each: colex order puts (1, 1, 0)

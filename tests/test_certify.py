@@ -173,6 +173,31 @@ class TestStrictProof:
         with pytest.raises(ValueError, match="finite and nonnegative"):
             certify_multiaffine(MultiAffinePoly(basis, coeffs), tol=-1e-4)
 
+    def test_each_flag_is_its_own_matrix(self):
+        # a mixed stack: accepted, declined by the factorization, by a
+        # pivot and by the first checks; each flag is the one-matrix call's
+        rng = np.random.default_rng(38)
+        for k in (2, 3, 5, 8):
+            for tol in (1e-9, 0.0):
+                Qs, rests = [], []
+                for second in (-0.5, -1e-3, -tol, 0.0, 1e-3, 0.5):
+                    for tilt in (0.0, 0.3):
+                        Qs.append(_with_spectrum([1.0, second] + [-1.0] * (k - 2), rng, tilt))
+                        rests.append(-rng.uniform(0.1, 1.0, size=2))
+                Qs.append(-np.ones((k, k)))  # fails the Rayleigh check
+                rests.append(np.array([-1.0, -0.5]))
+                Qs.append(np.ones((k, k)) - np.eye(k))
+                rests.append(np.array([-1.0, 0.0]))  # a within-block value above -slack
+                order = rng.permutation(len(Qs))
+                Q, rest = np.array(Qs)[order], np.array(rests)[order]
+                flags = _proved_strict(Q, rest, tol)
+                alone = [bool(_proved_strict(Q[i : i + 1], rest[i : i + 1], tol)[0]) for i in range(len(Q))]
+                assert flags.tolist() == alone, (k, tol)
+                assert 0 < sum(alone) < len(alone), (k, tol)
+                # the accepted ones alone take the stacked path
+                accepted = np.flatnonzero(flags)
+                assert _proved_strict(Q[accepted], rest[accepted], tol).all()
+
     def test_accepted_rows_are_strict(self):
         # lambda_2 on both sides of the cutoff, up to rounding distance
         rng = np.random.default_rng(36)

@@ -437,8 +437,9 @@ class TestBallmapCommand:
 
 class TestRefusedTolerance:
     """A tolerance outside [0, inf), NaN included, exits 1 with nothing on
-    stdout: at the fixed point e_2(3) too, where ``ballmap`` calls no
-    certificate, and on x0^2 + x1^2, which ``--tol nan`` once certified."""
+    stdout and no seed on stderr: at the fixed point e_2(3) too, where
+    ``ballmap`` calls no certificate, and on x0^2 + x1^2, which
+    ``--tol nan`` once certified."""
 
     @pytest.mark.parametrize("argv", [
         ["certify"],
@@ -454,6 +455,8 @@ class TestRefusedTolerance:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "finite and nonnegative" in captured.err
+        # a refused stable oracle announces no seed
+        assert "seed:" not in captured.err
 
     def test_stable_rejection_is_not_hidden(self, sum_of_squares_file, capsys):
         assert cli.main(["certify", "--mode", "stable", "--input", str(sum_of_squares_file), "--tol", "nan"]) == 1
