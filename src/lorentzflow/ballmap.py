@@ -32,6 +32,7 @@ from .certify import (
     DEFAULT_SEED,
     DEFAULT_TOL,
     Verdict,
+    _check_sampling,
     _check_tol,
     _lorentzian_members,
     _stable_members,
@@ -75,8 +76,9 @@ class MembershipOracle:
     escape search then tests each row alone. The Lorentzian oracles run
     every row's Hessians through one scan, each matrix proved strict on
     its own, and leave a row's exchange check until it is read; the
-    stable oracle classifies every row's lines at once. Without it a
-    stack takes one ``certify`` call per row."""
+    stable oracle restricts every row along a block of directions at once
+    and classifies every row's lines at once. Without it a stack takes
+    one ``certify`` call per row."""
 
     space: str
     certify: Callable[[object], Verdict]
@@ -108,6 +110,7 @@ def stable_oracle(
     seed: int = DEFAULT_SEED,
     tol: float = DEFAULT_TOL,
 ) -> MembershipOracle:
+    _check_sampling(directions, seed)
     return MembershipOracle(
         "stable", lambda f: certify_stable(f, directions, seed, tol), tol,
         lambda f, rows: _stable_members(f, rows, directions, seed, tol),

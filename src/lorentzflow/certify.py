@@ -24,18 +24,25 @@ stack of them (an escape's trial times), and each row stops at the
 first block that holds a failure of its own: the lift's verdict, with
 no lift built. Each Hessian is proved strict on its own by a shifted
 Cholesky, with one stacked factorization per block and no eigenvalue
-(``_proved_strict``); only the matrices it declines go, each matrix size
-at once, through one stacked ``eigh``, so every verdict and witness is
+(``_proved_strict``), which reads only the lower triangle the scan
+writes; a smaller capped quotient matrix is padded with its own
+within-block eigenvalues, so one proof covers every size. Only the
+matrices it declines are made symmetric and go, each matrix size at
+once, through one stacked ``eigh``, so every verdict and witness is
 that of the eigenvalues. After a block with a declined matrix a row's
 later blocks skip the proof. ``strata.exchange_violation`` runs only
 where it can fail: a support with every coefficient above tol is the
 uniform matroid, or the full capped box, which is M-convex.
 
 The stable certificate restricts f along a block of directions at once
-(``poly.restrict_lines``), runs the Newton power sums over all rows and
-takes the Hankel eigenvalues from one stacked ``eigvalsh``, again
-stopping at the first block that holds a failure; its stacked
-membership classifies every line of every row at once. Every witness is the
+(``poly.restrict_lines``), runs the Newton power sums over all lines,
+proves distinct real roots by one stacked Cholesky of the shifted
+Hankel matrices (``_proved_distinct``) and takes the smallest Hankel
+eigenvalue of the lines it declines from one stacked ``eigvalsh``,
+again stopping at the first block that holds a failure. Its stacked
+membership restricts every row along a block of directions in one
+``restrict_lines`` call and classifies every line of every row at
+once. Every witness is the
 first failing item in the documented order: for the Lorentzian
 certificates, coefficients in colex order and derivatives in descending
 lexicographic order of their exponent (for multiaffine inputs, subsets in
@@ -46,6 +53,8 @@ lexicographic order of their exponent (for multiaffine inputs, subsets in
 from __future__ import annotations
 
 import enum
+import functools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -120,15 +129,45 @@ def _factored(A) -> np.ndarray:
     the kernel fills each declined matrix's factor with NaN and goes on,
     so every flag is that of the matrix's own factorization."""
     with np.errstate(invalid="ignore"):
-        return ~np.isnan(_umath_linalg.cholesky_lo(A, signature="d->d")[:, 0, 0])
+        corner = _umath_linalg.cholesky_lo(A, signature="d->d")[:, 0, 0]
+    return corner == corner  # not NaN
+
+
+class _Triangle(NamedTuple):
+    """The lower triangle of a k x k matrix Q, entries in
+    ``np.tril_indices`` order, laid out by ``_lower`` for
+    ``_proved_strict``."""
+
+    rows: np.ndarray  # each entry's row
+    cols: np.ndarray  # each entry's column
+    diagonal: np.ndarray  # the entries on the diagonal
+    weight: np.ndarray  # each entry's weight in 1'Q1 and ||Q||_F^2: 1 on the diagonal, 2 off it
+    rowsum: np.ndarray  # (entries, k), 0/1: the entries of a symmetric Q times it are Q 1
+    inner: np.ndarray  # the entries of the trailing (k-1) x (k-1) block, in its own tril order
+    left: np.ndarray  # their rows in Q
+    right: np.ndarray  # their columns in the trailing block
+    pivots: np.ndarray  # which of them lie on the diagonal
+
+
+@lru_cache(maxsize=None)
+def _lower(k: int) -> _Triangle:
+    rows, cols = np.tril_indices(k)
+    rowsum = np.zeros((rows.size, k))
+    rowsum[np.arange(rows.size), rows] = rowsum[np.arange(rows.size), cols] = 1.0
+    inner = np.flatnonzero(cols > 0)
+    triangle = _Triangle(rows, cols, np.flatnonzero(rows == cols), np.where(rows == cols, 1.0, 2.0), rowsum,
+                         inner, rows[inner], cols[inner] - 1, np.flatnonzero(rows[inner] == cols[inner]))
+    for arr in triangle:
+        arr.flags.writeable = False
+    return triangle
 
 
 def _proved_strict(Q, rest, tol: float) -> np.ndarray:
     """Which matrices of a stack are proved strict without computing an
-    eigenvalue: Q (B, k, k) symmetric, ``rest`` (B, r) each row's
-    within-block eigenvalues. A True flag means ``_signatures`` calls
-    that row strict, so it does not fail; False proves nothing. Each flag
-    depends on its own matrix only.
+    eigenvalue: Q (B, k, k) symmetric, of which only the lower triangle
+    is read, and ``rest`` (B, r) each row's within-block eigenvalues. A
+    True flag means ``_signatures`` calls that row strict, so it does not
+    fail; False proves nothing. Each flag depends on its own matrix only.
 
     Per row, norm = sqrt(k) ||Q||_F + sum |rest| bounds the trace norm
     from above, so slack = tol max(1, norm) is at least the cut of
@@ -151,37 +190,53 @@ def _proved_strict(Q, rest, tol: float) -> np.ndarray:
       is negative definite, which a Cholesky of its negative proves: the
       second eigenvalue of Q lies below -slack.
 
-    The guard 1'Q1 >= ||Q||_F, true of every Q with nonnegative entries,
-    keeps s_1 s_1' / a, and so the eliminated matrix, of order k norm.
-    The eliminated matrices go through one stacked Cholesky
-    (``_factored``), which reports every matrix it declines.
+    The guard 1'Q1 >= ||Q||_F, true of every Q with nonnegative entries
+    and checked for each (a padded capped matrix has a negative
+    diagonal), keeps s_1 s_1' / a, and so the eliminated matrix, of order
+    k norm.
+    The bounds come from the lower triangle's entries (``_lower``), and
+    of each eliminated matrix only the lower triangle, which is all the
+    stacked Cholesky (``_factored``) reads, is right; that Cholesky
+    reports every matrix it declines.
     """
     if not tol >= 0:
-        return np.zeros(Q.shape[0], dtype=bool)
+        return np.zeros(len(Q), dtype=bool)
     k = Q.shape[-1]
-    frob = np.sqrt(np.einsum("bij,bij->b", Q, Q))
-    norm = np.sqrt(k) * frob + np.abs(rest).sum(axis=1)
-    slack = tol * np.maximum(1.0, norm) + k**4 * _EPS * norm
-    sums = Q.sum(axis=2)  # Q 1, as Q is symmetric
-    total = sums.sum(axis=1)
-    proved = (total > k * slack) & (total >= frob) & (rest < -slack[:, None]).all(axis=1)
-    every = bool(proved.all())
+    tri = _lower(k)
+    entries = Q[:, tri.rows, tri.cols]
+    frob = np.sqrt((entries * entries) @ tri.weight)
+    norm = frob * math.sqrt(k)
+    if rest.shape[1]:
+        across = rest.T.copy()  # reductions along short rows are slow: reduce across them
+        norm += np.abs(across).sum(axis=0)
+    slack = tol * np.maximum(norm, 1.0) + k**4 * _EPS * norm
+    total, cut = entries @ tri.weight, k * slack  # 1'Q1, and k slack
+    proved = (total > cut) & (total >= frob)
+    if rest.shape[1]:
+        proved &= across.max(axis=0) < -slack
+    every = proved.all()
     if k == 1 or not (every or proved.any()):  # no second eigenvalue, or nothing left to prove
         return proved
-    at = slice(None) if every else np.flatnonzero(proved)
-    slack, s = slack[at], sums[at] + slack[at, None]
-    u = s[:, 1:] / s.sum(axis=1)[:, None]
+    at = slice(None) if every else proved.nonzero()[0]
     if not every:
-        # a nonpositive pivot stops any Cholesky: the diagonal of neg below
-        pivots = (s[:, 1:] * u - np.diagonal(Q, axis1=1, axis2=2)[at, 1:] - slack[:, None] > 0).all(axis=1)
-        at, slack, s, u = at[pivots], slack[pivots], s[pivots], u[pivots]
+        entries, slack, total, cut = entries[at], slack[at], total[at], cut[at]
+    # the lower triangle of M = Q + slack I, then s = M 1 and u = s_1 / 1'M1
+    entries[:, tri.diagonal] += slack[:, None]
+    s = entries @ tri.rowsum
+    u = s[:, 1:] / (total + cut)[:, None]
+    # the lower triangle of neg = s_1 u' - M_22, row by row
+    neg = s[:, tri.left] * u[:, tri.right] - entries[:, tri.inner]
+    if not every:
+        # a nonpositive pivot stops any Cholesky: the diagonal of neg
+        pivots = (neg[:, tri.pivots] > 0).all(axis=1)
+        at, neg = at[pivots], neg[pivots]
         proved[:] = False
         if not at.size:
             return proved
-    neg = s[:, 1:, None] * u[:, None, :]
-    neg -= Q[at, 1:, 1:]
-    neg.reshape(len(neg), -1)[:, ::k] -= slack[:, None]  # the diagonal
-    proved[at] = _factored(neg)
+    # its upper triangle is left unwritten: the Cholesky reads the lower one only
+    lower = np.empty((len(neg), k - 1, k - 1))
+    lower[:, tri.left - 1, tri.right] = neg
+    proved[at] = _factored(lower)
     return proved
 
 
@@ -238,7 +293,11 @@ def _table(d: int, kappa: tuple) -> _Table:
     diagonal, the scales and the within-block eigenvalues are kept only
     where some m_i > 1; a row of the latter is as long as a lifted
     spectrum, and its first k entries, where eig(Q_beta) goes, read the
-    trailing zero.
+    trailing zero. A Q_beta smaller than width leaves capped slots on the
+    diagonal of its width x width matrix, and they read its first
+    within-block values, negated by their scale m_i - 1 = -1: that
+    matrix's spectrum with the within-block values past the first width
+    is the lifted spectrum, so one proof covers every size.
     """
     layout = exponent_table(d, kappa)
     alphas = layout.codes
@@ -269,6 +328,11 @@ def _table(d: int, kappa: tuple) -> _Table:
         twice = np.searchsorted(alphas, betas[:, None] + 2 * radix)
         rest = np.full((betas.size, length), alphas.size, dtype=dtype)
         rest[np.arange(length) >= size[:, None]] = np.repeat(twice.ravel(), np.maximum(m - 1, 0).ravel())
+        # the capped slots of a smaller Q_beta's diagonal, whose scale is
+        # m_i - 1 = -1, read its first within-block values
+        slot = np.arange(width)[:, None]
+        padded = slot < width - size
+        index[iu == ju] = np.where(padded, rest[np.arange(betas.size), np.minimum(size + slot, length - 1)], index[iu == ju])
     # descending lexicographic order: the first variable is the most significant
     order = np.lexsort(B.T[::-1])[::-1]
     table = _Table(
@@ -284,21 +348,6 @@ def _table(d: int, kappa: tuple) -> _Table:
     return table
 
 
-def _hessians(rows: np.ndarray, table: _Table, block: slice) -> np.ndarray:
-    """The block of Q_beta of every row of coefficients, row by row, each
-    as the trailing block of a width x width matrix. The gathered values
-    die on return, before the proof's working set of a whole stack."""
-    vals = rows[:, table.index[block]]
-    if table.scale is not None:
-        vals *= table.scale[block]
-    vals = vals.reshape(len(rows) * vals.shape[1], -1)
-    iu, ju = table.upper
-    H = np.zeros((len(vals), table.width, table.width))
-    H[:, iu, ju] = vals
-    H[:, ju, iu] = vals
-    return H
-
-
 def _hessian_scan(G: np.ndarray, table: _Table, tol: float):
     """The Hessian scan of rows of coefficients G (R, len) in table order,
     each with the trailing zero where the table reads it. Per row: the
@@ -309,69 +358,76 @@ def _hessian_scan(G: np.ndarray, table: _Table, tol: float):
     The Hessians go in row order and block by block, one block of every
     row in one stack, and a row leaves the scan after the first block
     that holds a failure of its own: each row meets the blocks it would
-    meet alone. ``_proved_strict`` proves single matrices strict with no
-    eigenvalue; the rest go, each matrix size at once, through
-    ``_checked_eigh``, so every flag and witness is that of the
+    meet alone. Every Hessian of a block is written as the lower triangle
+    of its width x width matrix, a smaller Q_beta padded as ``_table``
+    lays it out, and one ``_proved_strict`` call proves single matrices
+    strict with no eigenvalue; only the rest are made symmetric and go,
+    each size of Q_beta at once, through ``_checked_eigh`` on their
+    trailing blocks, so every flag and witness is that of the
     eigenvalues. A row with a declined matrix is near the boundary, where
     the proof seldom holds, so its later blocks skip it.
     """
-    width = table.width
+    width, (iu, ju) = table.width, table.upper
     step = max(1, _HESSIAN_BLOCK_ENTRIES // max(1, width * width))
-    first, strict, spectra = [-1] * len(G), [True] * len(G), [None] * len(G)
-    scan = list(range(len(G)))  # the rows with no failure yet
-    attempt = [True] * len(G)  # the rows with no unproved Hessian yet
+    first, loose, spectra = np.empty(len(G), dtype=np.intp), np.zeros(len(G), dtype=bool), [None] * len(G)
+    first.fill(-1)
+    scan = np.arange(len(G))  # the rows with no failure yet
+    unproved = np.zeros(len(G), dtype=bool)  # the rows with an unproved Hessian in an earlier block
     for lo in range(0, table.index.shape[0], step):
-        if not scan:
+        if not scan.size:
             break
         block = slice(lo, lo + step)
-        rows = G if len(scan) == len(G) else G[scan]
-        H = _hessians(rows, table, block)
-        count = len(H) // len(scan)  # Hessians per row in this block
-        # rows of lifted spectra: eig(Q_beta), then the within-block part;
-        # with no within-block part every Q_beta is width x width
-        w = np.empty((len(H), width)) if table.rest is None else -rows[:, table.rest[block]].reshape(len(H), -1)
-        sizes = None if table.size is None else np.tile(table.size[block], len(scan))
-        # matrices by size of Q_beta, the trailing k x k block
-        groups = [(slice(None), width)] if sizes is None else [(sizes == k, k) for k in sorted(set(sizes.tolist()))]
+        rows = G if scan.size == len(G) else G[scan]
+        vals = rows[:, table.index[block]]
+        if table.scale is not None:
+            vals *= table.scale[block]
+        count = vals.shape[1]  # Hessians per row in this block
+        vals = vals.reshape(scan.size * count, -1)
+        # per Hessian, its within-block values from entry k on; the proof
+        # takes those past the padded diagonal, from entry width on
+        within = None if table.rest is None else -rows[:, table.rest[block]].reshape(len(vals), -1)
+        H = np.zeros((len(vals), width, width))
+        H[:, ju, iu] = vals
         # after a block with an unproved Hessian a row goes straight to the eigensolve
-        tried = [attempt[row] for row in scan]
-        solved = None
-        for at, k in groups:
-            Q = H[at, width - k :, width - k :]
-            proved = False
-            if any(tried):
-                proved = _proved_strict(Q, w[at, k:], tol)
-                if not all(tried):
-                    proved = proved & np.repeat(tried, count)[at]
-            if np.all(proved):
+        tried = ~unproved[scan].repeat(count) if unproved.any() else None
+        if tried is None or tried.any():
+            rest = np.empty((len(vals), 0)) if within is None else within[:, width:]
+            proved = _proved_strict(H, rest, tol)
+            # one flag per matrix, from an array of them or from one flag for all
+            declined = np.logical_not(proved if tried is None else proved & tried, out=np.empty(len(vals), dtype=bool))
+            if not declined.any():
                 continue
-            unproved = ~np.broadcast_to(proved, Q.shape[:1])
-            every = unproved.all()
-            todo = at if every else np.flatnonzero(unproved) if sizes is None else np.flatnonzero(at)[unproved]
-            w[todo, :k] = _checked_eigh(Q if every else Q[unproved])[0]
-            solved = np.zeros(len(H), dtype=bool) if solved is None else solved
-            solved[todo] = True
-        if solved is None:
-            continue
-        if solved.all():
-            if table.rest is not None:
-                w.sort(axis=1)
-            fail, exact = _signatures(w, tol)
+            todo = declined.nonzero()[0]
         else:
-            if table.rest is not None:
-                w[solved] = np.sort(w[solved], axis=1)
-            fail, exact = np.zeros_like(solved), np.ones_like(solved)
-            fail[solved], exact[solved] = _signatures(w[solved], tol)
-        solved, fail, exact = (x.reshape(len(scan), count) for x in (solved, fail, exact))
-        outcomes = zip(scan, fail.any(axis=1).tolist(), exact.all(axis=1).tolist(), solved.any(axis=1).tolist())
-        for i, (row, hit, settled, touched) in enumerate(outcomes):
-            strict[row] = strict[row] and settled
-            attempt[row] = attempt[row] and not touched
-            if hit:
-                r = int(np.argmax(fail[i]))
-                first[row], spectra[row] = lo + r, w[i * count + r, ::-1].tolist()
-        scan = [row for row in scan if first[row] < 0]
-    return first, strict, spectra
+            todo = np.arange(len(vals))
+        # the declined Hessians, each size of Q_beta at once, with their lifted spectra ascending
+        sizes = None if table.size is None else table.size[block][todo % count]
+        found = []
+        for k in [width] if sizes is None else sorted(set(sizes.tolist())):
+            at = todo if sizes is None else todo[sizes == k]
+            Q = H[at]
+            Q[:, iu, ju] = vals[at]
+            w = _checked_eigh(Q[:, width - k :, width - k :])[0]
+            if within is not None:
+                w = np.sort(np.concatenate([w, within[at, k:]], axis=1), axis=1)
+            found.append((at, w))
+        at, w = found[0] if len(found) == 1 else (np.concatenate(x) for x in zip(*found))
+        if len(found) > 1:  # into row order
+            order = np.argsort(at)
+            at, w = at[order], w[order]
+        fail, exact = _signatures(w, tol)
+        row = at // count
+        loose[scan[row[~exact]]] = True
+        unproved[scan[row]] = True
+        if fail.any():
+            hit = np.zeros(scan.size, dtype=bool)
+            for j in fail.nonzero()[0].tolist():  # in row order: a row's first failure comes first
+                i = row[j]
+                if not hit[i]:
+                    hit[i] = True
+                    first[scan[i]], spectra[scan[i]] = lo + at[j] - i * count, w[j, ::-1].tolist()
+            scan = scan[~hit]
+    return first, ~loose, spectra
 
 
 def _lorentzian(g: np.ndarray, table: _Table, tol: float, keys, name) -> Verdict:
@@ -424,7 +480,7 @@ def _lorentzian_members(f, rows: np.ndarray, tol: float) -> list:
     refuses gets the ValueError it raises, and a row that only the
     exchange check can settle gets a function of no arguments that runs
     the check, so it costs nothing until it is read."""
-    refusals = _refusals(rows, tol)
+    refusals, member = _refusals(rows, tol)
     table = _table(f.d, f.kappa)
     G = np.zeros((rows.shape[0], rows.shape[1] + 1))
     G[:, :-1] = rows
@@ -432,13 +488,14 @@ def _lorentzian_members(f, rows: np.ndarray, tol: float) -> list:
         for binomials in _binomials(f.d, f.kappa):
             G[:, :-1] /= binomials
     coeffs = G[:, : len(table.digits)]
-    member = ~(coeffs < -tol).any(axis=1) & np.array([refusal is None for refusal in refusals])
-    scan = np.flatnonzero(member)
-    member[scan[np.array(_hessian_scan(G[scan], table, tol)[0]) >= 0]] = False
+    low = coeffs.min(axis=1)
+    member &= low >= -tol
+    scan = member.nonzero()[0]
+    if scan.size:
+        member[scan[_hessian_scan(G if scan.size == len(G) else G[scan], table, tol)[0] >= 0]] = False
     out = [refusal or flag for refusal, flag in zip(refusals, member.tolist())]
-    live = coeffs > tol
-    for r in np.flatnonzero(member & ~live.all(axis=1)).tolist():
-        support = table.digits[live[r]]
+    for r in (member & (low <= tol)).nonzero()[0].tolist():
+        support = table.digits[coeffs[r] > tol]
         out[r] = support.size > 0 and (lambda support=support: exchange_violation(support) is None)
     return out
 
@@ -450,18 +507,23 @@ def _check_tol(tol: float) -> None:
 
 
 def _check_input(f, tol: float) -> None:
-    (refusal,) = _refusals(f.coeffs[None], tol)
+    ((refusal,), _) = _refusals(f.coeffs[None], tol)
     if refusal is not None:
         raise refusal
 
 
-def _refusals(rows: np.ndarray, tol: float) -> list:
+def _refusals(rows: np.ndarray, tol: float):
     """Per row of coefficients: the ValueError that ``_check_input``
-    raises on the polynomial on it, or None."""
+    raises on the polynomial on it, or None; and which rows it accepts,
+    from one row sum."""
     _check_tol(tol)
-    values = [float(row.sum()) for row in rows]
-    return [None if abs(value - 1.0) <= 1e-9 else
-            ValueError(f"polynomial is not normalized: value at the all-ones point is {value}") for value in values]
+    values = rows.sum(axis=1)
+    normalized = np.abs(values - 1.0) <= 1e-9
+    out = [None] * len(rows)
+    if not normalized.all():
+        for r in (~normalized).nonzero()[0].tolist():
+            out[r] = ValueError(f"polynomial is not normalized: value at the all-ones point is {float(values[r])}")
+    return out, normalized
 
 
 def certify_multiaffine(f: MultiAffinePoly, tol: float = DEFAULT_TOL) -> Verdict:
@@ -519,11 +581,11 @@ def _trim_rows(lines: np.ndarray) -> np.ndarray:
     if lines.shape[1] == 0:
         raise ValueError("zero polynomial")
     size = np.abs(lines)
-    scale = size.max(axis=1)
-    if np.any(scale == 0.0):
+    scale = functools.reduce(np.maximum, size.T)  # column by column: a max along short rows is slow
+    if not scale.all():
         raise ValueError("zero polynomial")
-    live = size >= _DEGENERATE_LEAD * scale[:, None]
-    return lines.shape[1] - 1 - np.argmax(live[:, ::-1], axis=1)
+    cut = _DEGENERATE_LEAD * scale
+    return lines.shape[1] - 1 - np.argmax((size >= cut[:, None])[:, ::-1], axis=1)
 
 
 def _hankel(c: np.ndarray) -> np.ndarray:
@@ -531,35 +593,77 @@ def _hankel(c: np.ndarray) -> np.ndarray:
     (R, m+1) of one degree m, by the Newton recurrences run over all rows
     at once (monic normalization happens here)."""
     rows, m = c.shape[0], c.shape[1] - 1
-    monic = c / c[:, -1:]
-    s = np.empty((rows, 2 * m - 1))
-    s[:, 0] = m
+    monic = (c / c[:, -1:]).T  # one coefficient of every row per row
+    s = np.empty((2 * m - 1, rows))
+    s[0] = m
     for k in range(1, 2 * m - 1):
         acc = np.zeros(rows)
         for i in range(1, min(k - 1, m) + 1):
-            acc += monic[:, m - i] * s[:, k - i]
+            acc += monic[m - i] * s[k - i]
         if k <= m:
-            acc += k * monic[:, m - k]
-        s[:, k] = -acc
-    return s[:, np.add.outer(np.arange(m), np.arange(m))]
+            acc += k * monic[m - k]
+        s[k] = -acc
+    return s.T[:, np.add.outer(np.arange(m), np.arange(m))]
+
+
+def _proved_distinct(H, scale, tol: float) -> np.ndarray:
+    """Which Hankel matrices of a stack (R, m, m) are proved to have their
+    smallest eigenvalue above tol * scale, the cut of ``_root_classes``,
+    without computing an eigenvalue: a True flag means that row's line
+    has distinct real roots; False proves nothing. ``scale`` is each
+    row's max(1, trace), and a negative or NaN tol proves nothing.
+
+    A Cholesky of H - (tol + m^4 eps) scale I that completes makes that
+    matrix positive definite, so the smallest eigenvalue of H lies above
+    the cut with room to spare: by Hermite's criterion (``_hankel``) the
+    line has distinct real roots. The factorization's backward error is
+    of order m eps trace(H), and an eigensolver moves an eigenvalue by
+    some small power of m times eps ||H||, with ||H|| <= trace(H) once H
+    is positive definite; the allowance of m^4 eps scale, as in
+    ``_proved_strict``, is a margin over both, checked by the seeded
+    sweep in the tests, not a worst-case bound. The shifted matrices go
+    through one stacked Cholesky (``_factored``), which reports every
+    matrix it declines.
+    """
+    if not tol >= 0:
+        return np.zeros(len(H), dtype=bool)
+    m = H.shape[-1]
+    shifted = H.copy()
+    shifted.reshape(len(H), -1)[:, :: m + 1] -= ((tol + m**4 * _EPS) * scale)[:, None]  # the diagonal
+    return _factored(shifted)
 
 
 def _root_classes(lines: np.ndarray, tol: float):
     """Per row of coefficients (R, k): its root class (_DISTINCT, _TIES
     or _COMPLEX), with the tolerance scaled by the Hankel trace. Rows are
-    grouped by trimmed degree and each group's Hankel eigenvalues come
-    from one stacked eigvalsh."""
+    grouped by trimmed degree. In each group one stacked Cholesky proves
+    distinct real roots (``_proved_distinct``), and only the rows it
+    declines, ties and complex roots among them, take their smallest
+    Hankel eigenvalue from one stacked eigvalsh: every class is that of
+    the eigenvalue."""
     deg = _trim_rows(lines)
-    if np.any(deg < 1):
+    if deg.min() < 1:
         raise ValueError("need degree at least 1")
-    codes = np.empty(lines.shape[0], dtype=np.intp)
+    codes = np.full(lines.shape[0], _DISTINCT)
     for m in set(deg.tolist()):
-        rows = np.flatnonzero(deg == m)
+        rows = (deg == m).nonzero()[0]
         H = _hankel(lines[rows, : m + 1])
+        scale = np.maximum(1.0, np.trace(H, axis1=1, axis2=2))
+        declined = ~_proved_distinct(H, scale, tol)
+        if not declined.any():
+            continue
+        rows, H, eff = rows[declined], H[declined], tol * scale[declined]
         w0 = np.linalg.eigvalsh(H)[:, 0]
-        eff = tol * np.maximum(1.0, np.trace(H, axis1=1, axis2=2))
         codes[rows] = np.where(w0 > eff, _DISTINCT, np.where(w0 < -eff, _COMPLEX, _TIES))
     return codes
+
+
+def _check_sampling(directions: int, seed: int) -> None:
+    """Refuse fewer than one sampled direction or a negative seed."""
+    if directions < 1:
+        raise ValueError(f"need at least one sampled direction, got {directions}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
 
 
 @lru_cache(maxsize=16)
@@ -567,22 +671,21 @@ def sample_sphere_sumzero(n: int, count: int, seed: int) -> np.ndarray:
     """Deterministic unit vectors with coordinate sum zero, by projecting
     standard Gaussian draws onto the sum-zero hyperplane and normalizing.
     Returns a read-only array of shape (count, n), cached by
-    (n, count, seed)."""
+    (n, count, seed). Rows are drawn in one call; a draw whose projection
+    has norm below 1e-8 is dropped and the stream goes on, so the rows
+    are those of drawing one at a time. Each norm is ``np.linalg.norm``
+    of its row, whose rounding a stacked norm does not keep."""
     if n < 2:
         raise ValueError(f"need at least two coordinates, got n={n}")
-    if count < 1:
-        raise ValueError(f"need at least one sample, got {count}")
+    _check_sampling(count, seed)
     rng = np.random.default_rng(seed)
-    out = np.empty((count, n))
-    k = 0
-    while k < count:
-        g = rng.standard_normal(n)
-        g -= g.mean()
-        nrm = float(np.linalg.norm(g))
-        if nrm < 1e-8:
-            continue
-        out[k] = g / nrm
-        k += 1
+    out = np.empty((0, n))
+    while len(out) < count:
+        g = rng.standard_normal((count - len(out), n))
+        g -= g.mean(axis=1, keepdims=True)
+        nrm = np.array([np.linalg.norm(row) for row in g])
+        kept = nrm >= 1e-8
+        out = np.concatenate([out, g[kept] / nrm[kept, None]])
     out.flags.writeable = False
     return out
 
@@ -602,8 +705,10 @@ def certify_stable(
     verdict is strict when every sampled restriction has distinct real
     roots and the coefficient of every exponent alpha <= kappa of degree
     d clears the tolerance. A negative coefficient's witness is the first
-    in code order, for a capped f the lexicographically first.
+    in code order, for a capped f the lexicographically first. Fewer
+    than one direction and a negative seed are refused before any work.
     """
+    _check_sampling(directions, seed)
     _check_input(f, tol)
     exponents = f.table.digits
     negative = np.flatnonzero(f.coeffs < -tol)
@@ -650,19 +755,19 @@ def certify_stable(
 def _stable_members(f, rows: np.ndarray, directions: int, seed: int, tol: float) -> list:
     """Per row of coefficients (R, N) in f's layout: whether the
     polynomial on it is a member by ``certify_stable``, or the ValueError
-    that certificate refuses it with. Each row is restricted along the
-    same blocks of directions, and every line of every row is classified
-    by one ``_root_classes``, which raises ValueError on a degenerate
-    line: so does this, even past a row's first complex line, where the
-    row's own certificate stops."""
-    refusals = _refusals(rows, tol)
-    member = ~(rows < -tol).any(axis=1) & np.array([refusal is None for refusal in refusals])
-    if f.n >= 2 and f.d >= 2:
-        samples = sample_sphere_sumzero(f.n, directions, seed)
-        scan = np.flatnonzero(member)
-        lines = [restrict_lines(f._like(rows[r]), samples[lo : lo + _DIRECTION_BLOCK])
-                 for r in scan.tolist() for lo in range(0, directions, _DIRECTION_BLOCK)]
-        if lines:
-            codes = _root_classes(np.concatenate(lines), tol).reshape(scan.size, directions)
-            member[scan] = ~(codes == _COMPLEX).any(axis=1)
+    that certificate refuses it with. Every row is restricted along each
+    block of directions in one ``restrict_lines`` call, bit for bit the
+    certificate's lines, and every line of every row is classified by one
+    ``_root_classes``, which raises ValueError on a degenerate line: so
+    does this, even past a row's first complex line, where the row's own
+    certificate stops."""
+    refusals, member = _refusals(rows, tol)
+    member &= ~(rows < -tol).any(axis=1)
+    scan = member.nonzero()[0]
+    if f.n >= 2 and f.d >= 2 and scan.size:
+        samples, live = sample_sphere_sumzero(f.n, directions, seed), rows[scan]
+        lines = np.concatenate([restrict_lines(f, samples[lo : lo + _DIRECTION_BLOCK], live)
+                                for lo in range(0, directions, _DIRECTION_BLOCK)], axis=1)
+        codes = _root_classes(lines.reshape(-1, f.d + 1), tol).reshape(scan.size, directions)
+        member[scan] = ~(codes == _COMPLEX).any(axis=1)
     return [refusal or flag for refusal, flag in zip(refusals, member.tolist())]

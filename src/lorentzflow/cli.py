@@ -202,6 +202,8 @@ def cmd_strata(args) -> int:
 def cmd_sample(args) -> int:
     if not args.interior >= 0.0:
         raise ValueError(f"--interior must be a nonnegative flow depth, got {args.interior}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     _announce_seed(args.seed)
     rng = np.random.default_rng(args.seed)
     names = []

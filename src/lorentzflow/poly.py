@@ -387,35 +387,57 @@ def normalize_at_ones(f):
 _LINE_BLOCK_ENTRIES = 1 << 15
 
 
-def restrict_lines(f, directions) -> np.ndarray:
+def restrict_lines(f, directions, rows=None) -> np.ndarray:
     """Ascending coefficients of t -> f(t*ones - y) for every row y of
-    ``directions``, shape (D, d+1).
+    ``directions``, shape (D, d+1). Given ``rows``, coefficient vectors
+    (R, N) in f's layout, the lines of the polynomial on each row
+    instead, shape (R, D, d+1): each row's lines are bit for bit those
+    of that polynomial alone.
 
     Works through blocks of directions; within a block every nonzero
     term's factors (t - y_i) are multiplied in, for all terms and
     directions at once, in the order of the term's row of
     ``exponent_table`` factors, and then the terms are summed in code
-    order. Working memory is bounded by the block size, not by D.
+    order. Working memory is bounded by the block size, not by D. Rows
+    with the same nonzero terms take the blocks of directions that one
+    of them takes alone, and as many rows as keep P and the temporary of
+    a step within the bound are folded into a block's columns. A block of
+    one direction sums a row's terms as numpy reduces a contiguous axis,
+    pairwise, and a wider one sums them one after another, so a fold of
+    one-direction blocks sums along the terms.
     """
     Y = np.asarray(directions, dtype=float)
     if Y.ndim != 2 or Y.shape[1] != f.n:
         raise ValueError(f"directions have shape {Y.shape}, expected (D, {f.n})")
-    keep = f.coeffs != 0.0
-    a, idx = f.coeffs[keep], f.table.factors[keep]
+    stack = f.coeffs[None] if rows is None else rows
     d = f.d
-    out = np.zeros((Y.shape[0], d + 1))
-    if a.size == 0:
-        return out
-    step = max(1, _LINE_BLOCK_ENTRIES // (a.size * (d + 1)))
-    for lo in range(0, Y.shape[0], step):
-        yt = np.ascontiguousarray(Y[lo : lo + step].T)  # (n, block)
-        # P[j] holds the t^j coefficient of every term in every direction
-        P = np.zeros((d + 1, a.size, yt.shape[1]))
-        P[0] = a[:, None]
-        for k in range(d):
-            y = yt[idx[:, k]]
-            P[1 : k + 2] = P[: k + 1] - y * P[1 : k + 2]
-            P[0] *= -y
-        out[lo : lo + step] = P.sum(axis=1).T
-    return out
-
+    out = np.zeros((len(stack), Y.shape[0], d + 1))
+    nonzero = stack != 0.0
+    patterns = nonzero[:1] if (nonzero == nonzero[:1]).all() else {row.tobytes(): row for row in nonzero}.values()
+    for keep in patterns:
+        at = np.arange(len(stack)) if len(patterns) == 1 else (nonzero == keep).all(axis=1).nonzero()[0]
+        a, idx = stack[at][:, keep].T, f.table.factors[keep]  # (terms, rows)
+        if not len(a):
+            continue
+        step = max(1, _LINE_BLOCK_ENTRIES // (len(a) * (d + 1)))  # directions per block of one row
+        for lo in range(0, Y.shape[0], step):
+            yt = np.ascontiguousarray(Y[lo : lo + step].T)  # (n, block)
+            width = yt.shape[1]
+            # rows per block: P with the temporary of a step within the bound
+            fold = max(1, _LINE_BLOCK_ENTRIES // (2 * len(a) * (d + 1) * width))
+            for r in range(0, a.shape[1], fold):
+                # P[j] holds the t^j coefficient of every term in every row and direction
+                part = a[:, r : r + fold]
+                P = np.zeros((d + 1, len(a), part.shape[1], width))
+                P[0] = part[:, :, None]
+                for k in range(d):
+                    y = yt[idx[:, k]][:, None]
+                    step_up = y * P[1 : k + 2]
+                    P[1 : k + 2] = np.subtract(P[: k + 1], step_up, out=step_up)
+                    P[0] *= -y
+                if width == 1:
+                    sums = np.ascontiguousarray(P[..., 0].transpose(0, 2, 1)).sum(axis=2)[..., None]
+                else:
+                    sums = P.sum(axis=1)
+                out[at[r : r + fold], lo : lo + width] = sums.transpose(1, 2, 0)
+    return out[0] if rows is None else out

@@ -262,6 +262,23 @@ class TestStrictBlocks:
         assert fast == run()
 
 
+class TestHankelProofOff:
+    """The Cholesky proof of distinct roots changes no stable verdict."""
+
+    def test_same_verdicts_without_the_proof(self, corpus, monkeypatch):
+        def run():
+            out = []
+            for f in corpus.values():
+                directions = DEFAULT_DIRECTIONS if isinstance(f, HomPoly) else STABLE_DIRECTIONS.get((f.n, f.d))
+                if directions is not None:
+                    out += [certify_stable(f, directions, DEFAULT_SEED, tol) for tol in (C.DEFAULT_TOL, 0.0)]
+            return out
+
+        fast = run()
+        monkeypatch.setattr(C, "_proved_distinct", lambda H, scale, tol: np.zeros(len(H), dtype=bool))
+        assert fast == run()
+
+
 class TestStackedMembership:
     """The oracles' stacked membership, on every shape's corpus inputs
     stacked in shuffled order, equals ``is_member`` row by row."""
@@ -343,6 +360,27 @@ class TestRestrictLines:
         with pytest.raises(ValueError):
             restrict_lines(elementary_symmetric(3, 2), np.zeros((4, 2)))
 
+    @pytest.mark.parametrize("n, d, kappa", [(6, 3, None), (8, 4, None), (10, 5, None), (14, 7, None),
+                                             (4, 4, (4, 4, 4, 4)), (4, 2, (2, 2, 2, 2)), (5, 3, (3, 2, 2, 1, 1))])
+    def test_folded_rows_are_the_rows_alone(self, n, d, kappa):
+        # rows with different zero patterns, a row twice, and direction
+        # counts whose blocks end in a single direction (at (10,5) a block
+        # holds 21 directions, at (14,7) one), which sums its terms pairwise
+        rng = np.random.default_rng(n * 10 + d)
+        f = elementary_symmetric(n, d) if kappa is None else HomPoly(n, d, kappa, {})
+        size = f.coeffs.size
+        rows = rng.random((6, size)) * 10.0 ** rng.uniform(-3, 3, (6, size))
+        rows[1, rng.random(size) < 0.3] = 0.0
+        rows[3] = rows[1]
+        rows[4, rng.random(size) < 0.6] = 0.0
+        rows[5] = 0.0
+        for count in (1, 2, 22, 64, 65):
+            Y = sample_sphere_sumzero(n, count, 3)
+            lines = restrict_lines(f, Y, rows)
+            assert lines.shape == (6, count, d + 1)
+            for row, got in zip(rows, lines):
+                assert np.array_equal(got, restrict_lines(f._like(row), Y)), (count, row.tobytes()[:8])
+
 
 class TestRootKernel:
     def test_batched_rows_match_scalar_reference(self):
@@ -362,6 +400,38 @@ class TestSphereSampler:
         assert a is sample_sphere_sumzero(7, 256, 1729)
         assert not a.flags.writeable
         assert np.array_equal(a, sample_sphere_reference(7, 256, 1729))
+
+    @pytest.mark.parametrize("seed", [0, 7, 1729])
+    def test_one_draw_is_the_loop_bit_for_bit(self, seed):
+        for n in range(2, 17):
+            assert np.array_equal(sample_sphere_sumzero.__wrapped__(n, 100, seed), sample_sphere_reference(n, 100, seed))
+
+    def test_a_rejected_draw_continues_the_stream(self, monkeypatch):
+        # draws 3, 4 and 10 are constant, so their projections are zero:
+        # each is dropped and the next one in the stream takes its place
+        real = np.random.default_rng
+
+        class Spoiled:
+            def __init__(self, seed):
+                self.rng, self.drawn = real(seed), 0
+
+            def standard_normal(self, size):
+                out = self.rng.standard_normal(size)
+                rows = out.reshape(-1, out.shape[-1])
+                for i in range(len(rows)):
+                    if self.drawn + i in (3, 4, 10):
+                        rows[i] = 0.5
+                self.drawn += len(rows)
+                return out
+
+        monkeypatch.setattr(np.random, "default_rng", Spoiled)
+        got = sample_sphere_sumzero.__wrapped__(5, 12, 11)
+        want = sample_sphere_reference(5, 12, 11)
+        monkeypatch.undo()
+        assert np.array_equal(got, want)
+        # neither is the unspoiled sample: the rows after a rejection moved up
+        plain = sample_sphere_reference(5, 15, 11)
+        assert np.array_equal(got, np.delete(plain, [3, 4, 10], axis=0))
 
 
 class TestWorkingMemory:

@@ -163,10 +163,39 @@ class TestAgainstLift:
                 assert row.shape == want.shape == (sum(f.kappa) - f.d + 2,)
                 assert np.max(np.abs(row - want)) <= 1e-12 * scale
 
+    def test_padded_matrix_has_the_lifted_spectrum(self, corpus):
+        # a smaller Q_beta's capped diagonal slots hold its first
+        # within-block values, so the whole width x width matrix with the
+        # values past the first width is the lifted spectrum: the one
+        # proof per block is about the lifted Hessian itself
+        padded = 0
+        for f in corpus:
+            table = C._table(f.d, f.kappa)
+            if table.size is None:
+                continue
+            g = np.array([_g(f, tuple(a)) for a in table.digits.tolist()] + [0.0])
+            native = _native_rows(f)
+            iu, ju = table.upper
+            for r, beta in enumerate(table.betas.tolist()):
+                P = np.zeros((table.width, table.width))
+                P[iu, ju] = P[ju, iu] = g[table.index[r]] * table.scale[r]
+                w = np.sort(np.concatenate([np.linalg.eigvalsh(P), -g[table.rest[r, table.width :]]]))
+                want = native[tuple(beta)]
+                assert np.max(np.abs(w - want)) <= 1e-12 * max(1e-300, float(np.abs(want).sum()))
+                padded += int(table.size[r]) < table.width
+        assert padded
+
     def test_same_verdicts_without_the_strict_proof(self, corpus, monkeypatch):
         fast = [certify_hom(f, tol) for f in corpus for tol in (C.DEFAULT_TOL, 0.0)]
         monkeypatch.setattr(C, "_proved_strict", lambda Q, rest, tol: False)
         assert fast == [certify_hom(f, tol) for f in corpus for tol in (C.DEFAULT_TOL, 0.0)]
+
+    def test_same_stable_verdicts_without_the_hankel_proof(self, corpus, monkeypatch):
+        # 32 directions keep the corpus quick; every line still goes through the proof
+        run = lambda: [C.certify_stable(f, 32, C.DEFAULT_SEED, tol) for f in corpus for tol in (C.DEFAULT_TOL, 0.0)]
+        fast = run()
+        monkeypatch.setattr(C, "_proved_distinct", lambda H, scale, tol: np.zeros(len(H), dtype=bool))
+        assert fast == run()
 
 
 class TestStackedMembership:

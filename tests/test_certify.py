@@ -11,10 +11,13 @@ import numpy as np
 import pytest
 
 from certify_reference import RootClass, hessian_quadratic, real_rooted
+from lorentzflow import certify as C
+from lorentzflow.ballmap import stable_oracle
 from lorentzflow.certify import (
     VerdictStatus,
     _checked_eigh,
     _hankel,
+    _proved_distinct,
     _proved_strict,
     _signatures,
     _trim_rows,
@@ -323,6 +326,95 @@ class TestCertifyHom:
             HomPoly(2, 3, (2, 3), f.terms)
 
 
+def _pair_line(others, centre, x):
+    """Ascending coefficients of the monic polynomial with roots
+    ``others`` and a pair around ``centre``: real at centre -/+ x for
+    x > 0, complex at centre -/+ i|x| for x < 0."""
+    coeffs = np.array([centre * centre - x * abs(x), -2.0 * centre, 1.0])
+    for r in others:
+        coeffs = np.convolve(coeffs, [-r, 1.0])
+    return coeffs
+
+
+def _gap(lines, tol):
+    """Per line of one degree: the smallest Hankel eigenvalue less the
+    cut tol * max(1, trace) of ``_root_classes``, over that scale; with the
+    Hankel matrices and their scales."""
+    H = _hankel(lines)
+    scale = np.maximum(1.0, np.trace(H, axis1=1, axis2=2))
+    return (np.linalg.eigvalsh(H)[:, 0] - tol * scale) / scale, H, scale
+
+
+class TestHankelProof:
+    """``_proved_distinct`` proves only lines that the eigenvalue calls
+    distinct, right at its cut too, and a negative or NaN tol proves
+    nothing."""
+
+    OFFSETS = (0.0, 1e-13, -1e-13, 1e-9, -1e-9, 1e-3, -1e-3)
+
+    @staticmethod
+    def _lines(m, tol, rng, cases=3):
+        """Lines of degree m whose smallest Hankel eigenvalue sits at the
+        cut plus each offset times the scale: the pair's gap bisected to
+        adjacent floats on both sides of every target, with the lines of a
+        grid of gaps through the crossing. The other roots are jittered
+        Chebyshev points, which keep the Hankel matrices as well
+        conditioned as real roots allow; all roots lie in the unit disc."""
+        chebyshev = np.cos(np.pi * (2 * np.arange(m - 2) + 1) / (2 * max(m - 2, 1)))
+        others = 0.9 * chebyshev + rng.uniform(-0.05, 0.05, size=(cases, m - 2))
+        centres = rng.uniform(-0.5, 0.5, size=cases)
+        make = lambda xs: np.array([_pair_line(o, c, x) for o, c, x in zip(others, centres, xs)])
+        lines = [make(np.full(cases, x)) for x in np.concatenate([-np.geomspace(0.4, 1e-8, 9), np.geomspace(1e-8, 0.4, 9)])]
+        for offset in TestHankelProof.OFFSETS:
+            lo, hi = np.full(cases, -0.4), np.full(cases, 0.4)
+            below, above = (_gap(make(x), tol)[0] < offset for x in (lo, hi))
+            keep = below & ~above  # the crossing lies inside [-0.4, 0.4]
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                low = _gap(make(mid), tol)[0] < offset
+                lo, hi = np.where(low, mid, lo), np.where(low, hi, mid)
+            lines += [make(lo)[keep], make(hi)[keep]]
+        return np.concatenate(lines)
+
+    @pytest.mark.parametrize("tol", [1e-9, 0.0, 1e-6])
+    def test_proved_lines_are_distinct(self, tol):
+        rng = np.random.default_rng(40)
+        proved_any = declined_any = 0
+        for m in range(2, 17):
+            lines = self._lines(m, tol, rng)
+            gap, H, scale = _gap(lines, tol)
+            proved = _proved_distinct(H, scale, tol)
+            # distinct under eigvalsh alone: the smallest eigenvalue clears the cut
+            assert (gap[proved] > 0).all(), (m, tol, gap[proved].min())
+            proved_any += int(proved.sum())
+            declined_any += int((~proved & (gap > 0)).sum())
+            # the classes of _root_classes are those of the eigenvalue alone
+            w0, eff = np.linalg.eigvalsh(H)[:, 0], tol * scale
+            want = np.where(w0 > eff, C._DISTINCT, np.where(w0 < -eff, C._COMPLEX, C._TIES))
+            assert np.array_equal(C._root_classes(lines, tol), want), (m, tol)
+        assert proved_any and declined_any
+
+    def test_negative_or_nan_tol_proves_nothing(self):
+        lines = np.array([_pair_line([0.5, -0.5], 0.0, 0.25)])
+        H = _hankel(lines)
+        scale = np.maximum(1.0, np.trace(H, axis1=1, axis2=2))
+        assert _proved_distinct(H, scale, 0.0).all()
+        for tol in (-1e-4, float("nan")):
+            assert not _proved_distinct(H, scale, tol).any()
+
+    def test_each_flag_is_its_own_line(self):
+        rng = np.random.default_rng(41)
+        for m in (2, 3, 5, 8):
+            lines = self._lines(m, 1e-9, rng, cases=2)
+            lines = lines[rng.permutation(len(lines))]
+            H = _hankel(lines)
+            scale = np.maximum(1.0, np.trace(H, axis1=1, axis2=2))
+            flags = _proved_distinct(H, scale, 1e-9)
+            alone = [bool(_proved_distinct(H[i : i + 1], scale[i : i + 1], 1e-9)[0]) for i in range(len(H))]
+            assert flags.tolist() == alone
+            assert 0 < sum(alone) < len(alone)
+
+
 class TestHermiteKernel:
     def test_hankel_examples(self):
         assert np.allclose(hermite_matrix([-1, 0, 1]), [[2, 0], [0, 2]])
@@ -462,6 +554,18 @@ class TestCertifyStable:
             f = random_form_product(n, d, rng)
             assert certify_stable(f, directions=32, seed=3).is_member
             assert certify_hom(f).is_member
+
+    @pytest.mark.parametrize("directions, seed", [(0, 1729), (-3, -2), (64, -1)])
+    def test_bad_sampling_is_refused_before_any_work(self, directions, seed):
+        # a linear form and a single variable take no sample at all, and
+        # were once certified strict with no direction
+        for f in (normalize_at_ones(elementary_symmetric(3, 1)), HomPoly(1, 3, (3,), {(3,): 1.0})):
+            with pytest.raises(ValueError, match="direction|seed"):
+                certify_stable(f, directions, seed)
+        with pytest.raises(ValueError, match="direction|seed"):
+            sample_sphere_sumzero(3, directions, seed)
+        with pytest.raises(ValueError, match="direction|seed"):
+            stable_oracle(directions, seed)
 
     def test_negative_coefficient_rejected(self):
         f = HomPoly(2, 2, (2, 2), {(2, 0): 0.6, (1, 1): 0.6, (0, 2): -0.2})

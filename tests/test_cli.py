@@ -465,6 +465,40 @@ class TestRefusedTolerance:
         assert json.loads(capsys.readouterr().out)["witness"]["kind"] == "direction"
 
 
+class TestRefusedSampling:
+    """Fewer than one sampled direction, or a negative seed, exits 1 with
+    nothing on stdout and no seed on stderr: the stable certificate used
+    to call a linear form strict with no direction, and a refused draw
+    used to announce its seed first."""
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--mode", "stable", "--directions", "0"],
+        ["certify", "--mode", "stable", "--directions", "-3", "--seed", "-2"],
+        ["certify", "--mode", "stable", "--seed", "-1"],
+        ["flow", "--oracle", "stable", "--times", "0,0.5", "--directions", "0"],
+        ["ballmap", "--space", "stable", "--directions", "0"],
+    ])
+    def test_exits_one(self, e23_file, capsys, argv):
+        assert cli.main(argv + ["--input", str(e23_file)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "direction" in captured.err or "seed must be" in captured.err
+        assert "seed:" not in captured.err
+
+    def test_linear_form(self, singleton31_file, capsys):
+        assert cli.main(["certify", "--mode", "stable", "--directions", "0", "--input", str(singleton31_file)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "seed:" not in captured.err
+
+    def test_sample_seed(self, tmp_path, capsys):
+        rc = cli.main(["sample", "--n", "3", "--d", "2", "--count", "1", "--seed", "-1",
+                       "--output-dir", str(tmp_path / "s")])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert "--seed" in captured.err and "seed:" not in captured.err
+        assert not (tmp_path / "s").exists()
+
+
 class TestPeriodicCappedInput:
     """kappa = (1, 1), d = 1 is the periodic swap on the composition chain:
     the capped commands exit 1 and say so."""
